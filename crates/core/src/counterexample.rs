@@ -6,9 +6,9 @@
 //! loops or debugging. [`find_counterexample`] searches simulated rollouts
 //! for the earliest, most violating trajectory.
 
-use dwv_dynamics::{simulate::Simulator, Controller, ReachAvoidProblem};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dwv_dynamics::eval::{for_each_sample, Sample};
+use dwv_dynamics::{Controller, ReachAvoidProblem};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// How a trajectory violates the reach-avoid property.
@@ -68,65 +68,57 @@ pub fn find_counterexample<C: Controller + ?Sized>(
     samples: usize,
     seed: u64,
 ) -> Option<Counterexample> {
-    let sim = Simulator::new(problem.dynamics.clone(), problem.delta);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let substeps = 10usize;
-    let fine_dt = problem.delta / substeps as f64;
-    let mut best: Option<Counterexample> = None;
-    for _ in 0..samples {
-        let x0: Vec<f64> = (0..problem.x0.dim())
-            .map(|i| {
-                let iv = problem.x0.interval(i);
-                rng.gen_range(iv.lo()..=iv.hi())
-            })
-            .collect();
-        let traj = sim.rollout(&x0, controller, problem.horizon_steps);
-        let mut reached = false;
-        let mut unsafe_hit: Option<(usize, Vec<f64>)> = None;
-        for (idx, x) in traj.fine_states.iter().enumerate() {
-            if problem.unsafe_region.contains_point(x) {
-                unsafe_hit = Some((idx, x.clone()));
-                break;
-            }
-            if problem.goal_region.contains_point(x) {
-                reached = true;
-            }
-        }
-        let candidate = if let Some((idx, state)) = unsafe_hit {
-            Some(Counterexample {
-                x0,
-                kind: ViolationKind::EntersUnsafe,
-                time: idx as f64 * fine_dt,
-                state,
-            })
-        } else if !reached {
-            Some(Counterexample {
-                time: problem.horizon(),
-                state: traj.fine_states.last().expect("non-empty").clone(), // dwv-lint: allow(panic-freedom) -- a simulated trajectory always contains at least the initial state
-                x0,
-                kind: ViolationKind::MissesGoal,
-            })
-        } else {
-            None
-        };
-        // Prefer safety violations; among them, the earliest.
-        if let Some(c) = candidate {
-            best = match best {
-                None => Some(c),
-                Some(b) => {
-                    let rank = |x: &Counterexample| {
-                        (u8::from(x.kind != ViolationKind::EntersUnsafe), x.time)
-                    };
-                    if rank(&c) < rank(&b) {
-                        Some(c)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+    let mut search = CounterexampleSearch::new(problem);
+    for_each_sample(problem, controller, samples, seed, |s| search.offer(s));
+    search.finish()
+}
+
+/// The fold behind [`find_counterexample`]: keeps the best violation
+/// offered so far (safety violations first, then the earliest; the first
+/// offered wins ties).
+#[derive(Debug)]
+pub(crate) struct CounterexampleSearch<'p> {
+    problem: &'p ReachAvoidProblem,
+    best: Option<Counterexample>,
+}
+
+impl<'p> CounterexampleSearch<'p> {
+    pub(crate) fn new(problem: &'p ReachAvoidProblem) -> Self {
+        Self {
+            problem,
+            best: None,
         }
     }
-    best
+
+    /// Considers one sampled rollout.
+    pub(crate) fn offer(&mut self, s: &Sample<'_>) {
+        let (kind, time, state) = match s.first_unsafe {
+            Some(e) => (ViolationKind::EntersUnsafe, e.time, e.state),
+            None if !s.reaches_goal => (
+                ViolationKind::MissesGoal,
+                self.problem.horizon(),
+                s.final_state,
+            ),
+            None => return,
+        };
+        let rank =
+            |kind: ViolationKind, time: f64| (u8::from(kind != ViolationKind::EntersUnsafe), time);
+        if let Some(b) = &self.best {
+            if rank(kind, time).partial_cmp(&rank(b.kind, b.time)) != Some(Ordering::Less) {
+                return;
+            }
+        }
+        self.best = Some(Counterexample {
+            x0: s.x0.to_vec(),
+            kind,
+            time,
+            state: state.to_vec(),
+        });
+    }
+
+    pub(crate) fn finish(self) -> Option<Counterexample> {
+        self.best
+    }
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! tooling render it with `Display`.
 
 use crate::algorithm2::InitialSetSearch;
-use crate::counterexample::{find_counterexample, Counterexample};
-use crate::verdict::{judge, Verdict};
+use crate::counterexample::{Counterexample, CounterexampleSearch};
+use crate::verdict::{flowpipe_certifies, Verdict};
 use crate::Algorithm2;
-use dwv_dynamics::{eval::rates, eval::RateReport, Controller, ReachAvoidProblem};
+use dwv_dynamics::eval::{for_each_sample, RateCounts, RateReport};
+use dwv_dynamics::{Controller, ReachAvoidProblem};
 use dwv_interval::IntervalBox;
 use dwv_reach::{Flowpipe, QueryProvenance, ReachError};
 use std::fmt;
@@ -249,6 +250,14 @@ impl fmt::Display for VerificationReport {
     }
 }
 
+/// Rollouts behind a report's rates (and, when the flowpipe does not
+/// certify, its verdict).
+const REPORT_SAMPLES: usize = 500;
+/// The counterexample is searched among the first this-many rollouts.
+const COUNTEREXAMPLE_SAMPLES: usize = 200;
+/// Seed of the report's initial-state stream.
+const REPORT_SEED: u64 = 0x0A55E55;
+
 /// Builds a full report for a controller: post-hoc verification, Algorithm-2
 /// search over the flowpipe oracle, 500-rollout rates and counterexample
 /// search.
@@ -256,6 +265,13 @@ impl fmt::Display for VerificationReport {
 /// `verify(cell)` must compute the controller's flowpipe from the initial
 /// set `cell` (as in [`Algorithm2::search`]); the whole-`X₀` flowpipe is
 /// `verify(&problem.x0)`.
+///
+/// The report equals the composition of [`crate::judge`] (500 rollouts),
+/// [`dwv_dynamics::eval::rates`] (500) and [`crate::find_counterexample`]
+/// (200, only when the rates are not perfect) on one seed, but simulates
+/// that stream once: the counterexample comes from the first 200 rollouts
+/// of the rates pass, and an uncertified verdict is `Unsafe` exactly when
+/// the rates are not perfect.
 #[must_use]
 pub fn assess<C, V>(
     problem: &ReachAvoidProblem,
@@ -266,30 +282,39 @@ where
     C: Controller + ?Sized,
     V: FnMut(&IntervalBox) -> Result<Flowpipe, ReachError>,
 {
-    let (verdict, initial_set) = {
+    let (certified, initial_set) = {
         let _s = dwv_obs::span("verify");
         let attempt = verify(&problem.x0);
-        let verdict = judge(problem, controller, &attempt, 500, 0x0A55E55);
-        let initial_set = if verdict.is_reach_avoid() {
-            Some(
-                Algorithm2::new(problem)
-                    .with_max_rounds(4)
-                    .search(|cell| verify(cell)),
-            )
-        } else {
-            None
-        };
-        (verdict, initial_set)
+        let certified = flowpipe_certifies(problem, &attempt);
+        let initial_set = certified.then(|| {
+            Algorithm2::new(problem)
+                .with_max_rounds(4)
+                .search(|cell| verify(cell))
+        });
+        (certified, initial_set)
     };
-    let (rates, counterexample) = {
+    let (verdict, rates, counterexample) = {
         let _s = dwv_obs::span("simulate");
-        let rates = rates(problem, controller, 500, 0x0A55E55);
+        let mut counts = RateCounts::default();
+        let mut search = CounterexampleSearch::new(problem);
+        for_each_sample(problem, controller, REPORT_SAMPLES, REPORT_SEED, |s| {
+            counts.add(s);
+            if s.index < COUNTEREXAMPLE_SAMPLES {
+                search.offer(s);
+            }
+        });
+        let rates = counts.report();
+        let verdict = if certified {
+            Verdict::ReachAvoid
+        } else {
+            Verdict::from_simulation(!rates.is_perfect())
+        };
         let counterexample = if rates.is_perfect() {
             None
         } else {
-            find_counterexample(problem, controller, 200, 0x0A55E55)
+            search.finish()
         };
-        (rates, counterexample)
+        (verdict, rates, counterexample)
     };
     let snapshot = dwv_obs::snapshot();
     VerificationReport {

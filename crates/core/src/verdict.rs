@@ -1,9 +1,10 @@
 //! The verified-result column of Table 1.
 
-use dwv_dynamics::{eval::rates, Controller, ReachAvoidProblem};
+use dwv_dynamics::{eval::try_for_each_sample, Controller, ReachAvoidProblem};
 use dwv_metrics::GeometricMetric;
 use dwv_reach::{Flowpipe, ReachError};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The outcome of formally verifying a controller (the "Verified result"
 /// column of Table 1).
@@ -39,15 +40,34 @@ impl fmt::Display for Verdict {
     }
 }
 
+/// Whether the verification attempt certifies reach-avoid on its own: the
+/// flowpipe exists and the geometric metric finds it clear of `X_u` and
+/// inside `X_g`.
+pub(crate) fn flowpipe_certifies(
+    problem: &ReachAvoidProblem,
+    attempt: &Result<Flowpipe, ReachError>,
+) -> bool {
+    attempt.as_ref().is_ok_and(|fp| {
+        GeometricMetric::for_problem(problem)
+            .evaluate(fp)
+            .is_reach_avoid()
+    })
+}
+
 /// Judges a controller from its verification attempt, reproducing the
 /// paper's three-way outcome:
 ///
 /// 1. flowpipe verified reach-avoid → [`Verdict::ReachAvoid`];
-/// 2. otherwise, simulate `counterexample_samples` random trajectories: a
-///    concrete violation (unsafe entry, or goal never reached) →
-///    [`Verdict::Unsafe`];
+/// 2. otherwise, simulate up to `counterexample_samples` random
+///    trajectories: a concrete violation (unsafe entry, or goal never
+///    reached) → [`Verdict::Unsafe`];
 /// 3. otherwise → [`Verdict::Unknown`] (the over-approximation, not the
-///    controller, is at fault).
+///    controller, is at fault); also the verdict of zero samples.
+///
+/// The simulation stops after the lockstep batch that holds the first
+/// violation, so the verdict equals that of the full `counterexample_samples`
+/// rollouts at a fraction of the cost. It runs in the `simulate.judge`
+/// span.
 #[must_use]
 pub fn judge<C: Controller + ?Sized>(
     problem: &ReachAvoidProblem,
@@ -56,17 +76,29 @@ pub fn judge<C: Controller + ?Sized>(
     counterexample_samples: usize,
     seed: u64,
 ) -> Verdict {
-    if let Ok(fp) = attempt {
-        let metric = GeometricMetric::for_problem(problem);
-        if metric.evaluate(fp).is_reach_avoid() {
-            return Verdict::ReachAvoid;
-        }
+    if flowpipe_certifies(problem, attempt) {
+        return Verdict::ReachAvoid;
     }
-    let r = rates(problem, controller, counterexample_samples, seed);
-    if r.safe_rate < 1.0 || r.goal_rate < 1.0 {
-        Verdict::Unsafe
-    } else {
-        Verdict::Unknown
+    let _s = dwv_obs::span("simulate.judge");
+    let violation = try_for_each_sample(problem, controller, counterexample_samples, seed, |s| {
+        if s.violates() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    Verdict::from_simulation(violation.is_break())
+}
+
+impl Verdict {
+    /// The verdict of an uncertified controller: [`Verdict::Unsafe`] when a
+    /// sampled rollout violates reach-avoid, [`Verdict::Unknown`] otherwise.
+    pub(crate) fn from_simulation(violated: bool) -> Self {
+        if violated {
+            Verdict::Unsafe
+        } else {
+            Verdict::Unknown
+        }
     }
 }
 

@@ -18,6 +18,7 @@
 //! goal window — the reach-avoid tension that makes this a good benchmark.
 
 use crate::linalg::Matrix;
+use crate::simulate::Lanes;
 use crate::system::{Dynamics, ReachAvoidProblem};
 use dwv_geom::{HalfSpace, Region};
 use dwv_interval::IntervalBox;
@@ -65,6 +66,12 @@ impl Dynamics for Acc {
         out.clear();
         out.push(V_FRONT - x[1]);
         out.push(K_DAMP * x[1] + u[0]);
+    }
+
+    fn deriv_lanes(&self, x: &[Lanes], u: &[Lanes], out: &mut [Lanes]) {
+        let (v, u) = (x[1], u[0]);
+        out[0] = std::array::from_fn(|l| V_FRONT - v[l]);
+        out[1] = std::array::from_fn(|l| K_DAMP * v[l] + u[l]);
     }
 
     fn vector_field(&self) -> OdeRhs {

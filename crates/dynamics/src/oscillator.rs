@@ -14,6 +14,7 @@
 //! toward the origin, so a goal-only controller easily clips it — the paper's
 //! motivation for verification in the loop.
 
+use crate::simulate::Lanes;
 use crate::system::{Dynamics, ReachAvoidProblem};
 use dwv_geom::Region;
 use dwv_interval::IntervalBox;
@@ -55,6 +56,12 @@ impl Dynamics for Oscillator {
         out.clear();
         out.push(x[1]);
         out.push(GAMMA * (1.0 - x[0] * x[0]) * x[1] - x[0] + u[0]);
+    }
+
+    fn deriv_lanes(&self, x: &[Lanes], u: &[Lanes], out: &mut [Lanes]) {
+        let (x0, x1, u) = (x[0], x[1], u[0]);
+        out[0] = x1;
+        out[1] = std::array::from_fn(|l| GAMMA * (1.0 - x0[l] * x0[l]) * x1[l] - x0[l] + u[l]);
     }
 
     fn vector_field(&self) -> OdeRhs {

@@ -1,6 +1,7 @@
 //! Dynamics and controller abstractions, and the reach-avoid problem tuple.
 
 use crate::linalg::Matrix;
+use crate::simulate::{Lanes, LANES};
 use dwv_geom::Region;
 use dwv_interval::IntervalBox;
 use dwv_nn::Network;
@@ -37,6 +38,31 @@ pub trait Dynamics: Send + Sync {
         let d = self.deriv(x, u);
         out.clear();
         out.extend_from_slice(&d);
+    }
+
+    /// Writes `f(x, u)` for every lane of a lockstep batch (component
+    /// major: `x[i][l]` is state component `i` of lane `l`; `out` has one
+    /// entry per state component).
+    ///
+    /// The default gathers each lane and calls [`Dynamics::deriv_into`];
+    /// benchmark systems override it with lane loops over the expressions
+    /// of `deriv`, which is what lets [`crate::simulate::Simulator::rollout_lanes`]
+    /// overlap the lanes' arithmetic. Overrides must be bit-identical to
+    /// `deriv` in every lane.
+    fn deriv_lanes(&self, x: &[Lanes], u: &[Lanes], out: &mut [Lanes]) {
+        let mut xl = Vec::with_capacity(x.len());
+        let mut ul = Vec::with_capacity(u.len());
+        let mut d = Vec::with_capacity(out.len());
+        for l in 0..LANES {
+            xl.clear();
+            xl.extend(x.iter().map(|c| c[l]));
+            ul.clear();
+            ul.extend(u.iter().map(|c| c[l]));
+            self.deriv_into(&xl, &ul, &mut d);
+            for (o, v) in out.iter_mut().zip(&d) {
+                o[l] = *v;
+            }
+        }
     }
 
     /// The polynomial vector field in `(x, u)` variables.

@@ -10,6 +10,7 @@
 //! `X_g : x₁ ∈ [−0.5,−0.28], x₂ ∈ [0,0.28]`,
 //! `X_u : x₁ ∈ [−0.1,0.2], x₂ ∈ [0.55,0.6]` (x₃ unconstrained in both).
 
+use crate::simulate::Lanes;
 use crate::system::{Dynamics, ReachAvoidProblem};
 use dwv_geom::Region;
 use dwv_interval::IntervalBox;
@@ -49,6 +50,13 @@ impl Dynamics for ThreeDim {
         out.push(x[2] * x[2] * x[2] - x[1]);
         out.push(x[2]);
         out.push(u[0]);
+    }
+
+    fn deriv_lanes(&self, x: &[Lanes], u: &[Lanes], out: &mut [Lanes]) {
+        let (x1, x2) = (x[1], x[2]);
+        out[0] = std::array::from_fn(|l| x2[l] * x2[l] * x2[l] - x1[l]);
+        out[1] = x2;
+        out[2] = u[0];
     }
 
     fn vector_field(&self) -> OdeRhs {

@@ -148,7 +148,8 @@ impl IntervalReach {
     ///
     /// [`ReachError::Diverged`] when a step's a-priori enclosure fails to
     /// validate or the sweep box exceeds the divergence-guard width;
-    /// [`ReachError::Unsupported`] on dimension mismatches.
+    /// [`ReachError::Unsupported`] on dimension mismatches and for a
+    /// controller with a NaN or infinite parameter.
     pub fn reach<C: ControlEnclosure + ?Sized>(
         &self,
         controller: &C,
@@ -176,6 +177,7 @@ impl IntervalReach {
                 controller.n_input(),
             )));
         }
+        crate::verifier::require_finite_params(controller)?;
         // Same entry-span name as every other backend, so trace analytics
         // (critical path, attribution) see one uniform `reach.run`.
         let _s = dwv_obs::span("reach.run");

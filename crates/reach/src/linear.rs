@@ -155,8 +155,10 @@ impl LinearReach {
     /// # Errors
     ///
     /// Returns [`ReachError::Diverged`] if the recursion produces non-finite
-    /// coordinates (an unstable closed loop blowing past f64 range).
+    /// coordinates (an unstable closed loop blowing past f64 range);
+    /// [`ReachError::Unsupported`] for a NaN or infinite gain.
     pub fn reach(&self, controller: &LinearController) -> Result<Flowpipe, ReachError> {
+        crate::verifier::require_finite_params(controller)?;
         let _run = dwv_obs::span("reach.run");
         let n = self.x0.dim();
         let m = self.closed_loop_matrix(controller);

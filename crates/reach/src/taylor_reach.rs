@@ -167,12 +167,14 @@ impl<A: NnAbstraction> TaylorReach<A> {
     ///
     /// # Errors
     ///
-    /// [`ReachError::Diverged`] when the flowpipe blows up at some step.
+    /// [`ReachError::Diverged`] when the flowpipe blows up at some step;
+    /// [`ReachError::Unsupported`] for a NaN or infinite network weight.
     pub fn reach_from(
         &self,
         x0: &dwv_interval::IntervalBox,
         controller: &NnController,
     ) -> Result<Flowpipe, ReachError> {
+        crate::verifier::require_finite_params(controller)?;
         let _run = dwv_obs::span("reach.run");
         let n = x0.dim();
         let domain = dwv_taylor::unit_domain(n);

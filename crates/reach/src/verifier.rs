@@ -14,6 +14,22 @@ use crate::flowpipe::Flowpipe;
 use dwv_dynamics::{Controller, LinearController, NnController};
 use dwv_interval::{Interval, IntervalBox};
 
+/// Rejects a controller with a NaN or infinite parameter: its image has no
+/// interval enclosure (the interval constructors refuse NaN endpoints), so
+/// every backend answers it with [`ReachError::Unsupported`] instead of a
+/// flowpipe.
+pub(crate) fn require_finite_params<C: Controller + ?Sized>(
+    controller: &C,
+) -> Result<(), ReachError> {
+    if controller.params().iter().all(|p| p.is_finite()) {
+        Ok(())
+    } else {
+        Err(ReachError::Unsupported(
+            "controller has a non-finite parameter".into(),
+        ))
+    }
+}
+
 /// The asymptotic cost family of a verifier backend, ordered cheapest
 /// first. The portfolio escalates along this order and treats the
 /// most-expensive configured tier as the rigorous authority.

@@ -133,8 +133,10 @@ impl ZonotopeReach {
     ///
     /// # Errors
     ///
-    /// [`ReachError::Diverged`] if the recursion overflows f64 range.
+    /// [`ReachError::Diverged`] if the recursion overflows f64 range;
+    /// [`ReachError::Unsupported`] for a NaN or infinite gain.
     pub fn reach(&self, controller: &LinearController) -> Result<Flowpipe, ReachError> {
+        crate::verifier::require_finite_params(controller)?;
         let _run = dwv_obs::span("reach.run");
         let n = self.x0.dim();
         // Closed loop M = Ad + Bd Θ as a row-major Vec<Vec<f64>>.

@@ -105,6 +105,11 @@ pub fn nn_verifier_config() -> TaylorReachConfig {
     }
 }
 
+/// The most rollouts a `VerifyLinear` job may ask its judgement for: the
+/// simulation has no cancel point, so this bounds how long one job can pin
+/// a worker.
+const MAX_JUDGE_SAMPLES: u32 = 100_000;
+
 /// Validates a spec without running it.
 ///
 /// # Errors
@@ -114,7 +119,11 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
     let problem = problem_for(spec.problem);
     let (n_state, n_input) = (problem.n_state(), problem.n_input());
     match &spec.kind {
-        JobKind::VerifyLinear { gains, grid, .. } => {
+        JobKind::VerifyLinear {
+            gains,
+            grid,
+            samples,
+        } => {
             if problem.dynamics.linear_parts().is_none() {
                 return Err(JobError::Invalid(
                     "VerifyLinear requires affine dynamics".into(),
@@ -129,6 +138,11 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
             }
             if *grid == 0 || *grid > 8 {
                 return Err(JobError::Invalid(format!("grid {grid} out of 1..=8")));
+            }
+            if *samples == 0 || *samples > MAX_JUDGE_SAMPLES {
+                return Err(JobError::Invalid(format!(
+                    "samples {samples} out of 1..={MAX_JUDGE_SAMPLES}"
+                )));
             }
         }
         JobKind::AssessLinear { gains } => {

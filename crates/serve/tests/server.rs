@@ -5,7 +5,8 @@
 use dwv_core::parallel::{CancelToken, WorkerPool};
 use dwv_reach::ReachCache;
 use dwv_serve::{
-    run_job, Client, Frame, JobKind, JobSpec, JobState, ProblemId, RejectCode, ServeConfig, Server,
+    run_job, Client, Frame, JobError, JobKind, JobSpec, JobState, ProblemId, RejectCode,
+    ServeConfig, Server,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,6 +174,92 @@ fn invalid_specs_are_rejected_at_admission() {
                 }
             ),
             "spec {i}: {reply:?}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn out_of_range_judge_samples_are_rejected_and_the_server_lives_on() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // An Unsafe controller (no braking), so a zero-sample judgement would
+    // have to simulate; u32::MAX rollouts would pin the worker for hours.
+    for (i, samples) in [0, 100_001, u32::MAX].into_iter().enumerate() {
+        let spec = JobSpec {
+            problem: ProblemId::Acc,
+            kind: JobKind::VerifyLinear {
+                gains: vec![0.0, 0.0],
+                grid: 1,
+                samples,
+            },
+        };
+        assert!(
+            matches!(dwv_serve::validate(&spec), Err(JobError::Invalid(_))),
+            "samples {samples}"
+        );
+        let reply = client.submit(4, 200 + i as u64, 0, spec).expect("submit");
+        assert!(
+            matches!(
+                reply,
+                Frame::Rejected {
+                    code: RejectCode::BadSpec,
+                    retry_after_ms: 0,
+                    ..
+                }
+            ),
+            "samples {samples}: {reply:?}"
+        );
+    }
+    // The bounds themselves are accepted, and the worker still serves.
+    for (i, samples) in [1, 100_000].into_iter().enumerate() {
+        let spec = JobSpec {
+            problem: ProblemId::Acc,
+            kind: JobKind::VerifyLinear {
+                gains: vec![0.0, 0.0],
+                grid: 1,
+                samples,
+            },
+        };
+        let job_id = 300 + i as u64;
+        let reply = client.submit(4, job_id, 0, spec).expect("submit");
+        assert!(matches!(reply, Frame::Accepted { .. }), "{reply:?}");
+        let out = client.stream_result(4, job_id).expect("served");
+        assert!(out.verdict.starts_with("Unsafe"), "{}", out.verdict);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn non_finite_gains_end_in_a_verdict_not_a_dead_worker() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (i, gains) in [vec![f64::NAN, -2.0], vec![0.5867, f64::INFINITY]]
+        .into_iter()
+        .enumerate()
+    {
+        let spec = JobSpec {
+            problem: ProblemId::Acc,
+            kind: JobKind::VerifyLinear {
+                gains,
+                grid: 2,
+                samples: 100,
+            },
+        };
+        let job_id = 400 + i as u64;
+        let reply = client.submit(5, job_id, 0, spec).expect("submit");
+        assert!(matches!(reply, Frame::Accepted { .. }), "{reply:?}");
+        let out = client.stream_result(5, job_id).expect("served");
+        assert!(
+            out.verdict.starts_with("Unsafe") || out.verdict.starts_with("Unknown"),
+            "{}",
+            out.verdict
         );
     }
     server.shutdown();

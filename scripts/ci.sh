@@ -85,6 +85,14 @@ if [[ "${1:-}" == "--all" ]]; then
   # the differential: surrogate-mode Algorithm 1 acceptances must survive a
   # fresh rigorous-only re-verification. See DESIGN.md §4f.
   run cargo run --release --offline -p dwv-check -- --family portfolio --seed 0xD3C0DE --budget-cases 2500
+  # Rollout-engine gate: the lockstep Monte-Carlo engine behind judge,
+  # rates and find_counterexample against naive references that
+  # materialise every trajectory (samples, rates, verdicts, counterexamples
+  # and assess report bytes, bit for bit, across systems, non-finite
+  # controllers, lane-boundary sample counts and horizons 0/1).
+  run cargo test -q --release --offline -p dwv-dynamics
+  run cargo test -q --release --offline -p dwv-core --test rollout_reference
+  run cargo test -q --release --offline -p dwv-core --lib -- verdict counterexample
   # Serving gate: the verification-as-a-service layer. Crate tests (frame
   # codec fuzz/property suite + server integration), the golden
   # serve-vs-batch parity suite over real TCP (ACC/Van-der-Pol/3D repro

@@ -10,7 +10,7 @@
 //! The enabled flag is process-global, so every test that toggles it holds
 //! [`obs_lock`] for its whole body.
 
-use design_while_verify::core::{assess, Algorithm1, LearnConfig, MetricKind, WorkerPool};
+use design_while_verify::core::{assess, judge, Algorithm1, LearnConfig, MetricKind, WorkerPool};
 use design_while_verify::dynamics::{acc, oscillator, Controller, LinearController, NnController};
 use design_while_verify::interval::IntervalBox;
 use design_while_verify::nn::{Activation, Network};
@@ -197,4 +197,51 @@ fn report_carries_metrics_snapshot_when_tracing() {
         assert!(h.count >= 1, "{phase} never timed");
     }
     assert!(on.to_string().contains("cost breakdown"));
+}
+
+#[test]
+fn judgement_simulation_is_billed_to_its_own_span() {
+    let _g = obs_lock();
+    obs::shutdown();
+    obs::reset();
+
+    let problem = acc::reach_avoid_problem();
+    let (a, b, c) = problem.dynamics.linear_parts().expect("affine");
+    let reach = |k: &LinearController| {
+        LinearReach::new(
+            &a,
+            &b,
+            &c,
+            problem.x0.clone(),
+            problem.delta,
+            problem.horizon_steps,
+        )
+        .reach(k)
+    };
+    let unsafe_k = LinearController::zeros(2, 1);
+    let certified_k = LinearController::new(2, 1, vec![0.5867, -2.0]);
+    let (unsafe_attempt, certified_attempt) = (reach(&unsafe_k), reach(&certified_k));
+
+    // Tracing off: no span is recorded.
+    let off = judge(&problem, &unsafe_k, &unsafe_attempt, 500, 1);
+    assert!(obs::snapshot().histogram("simulate.judge").is_none());
+
+    obs::init_jsonl_writer(Box::new(NullSink));
+    let on = judge(&problem, &unsafe_k, &unsafe_attempt, 500, 1);
+    // A certifying flowpipe decides without simulating, so opens no span.
+    let certified = judge(&problem, &certified_k, &certified_attempt, 500, 1);
+    let snap = obs::snapshot();
+    obs::shutdown();
+
+    assert_eq!(off, on, "verdict changed under tracing");
+    assert_eq!(on.to_string(), "Unsafe");
+    assert!(certified.is_reach_avoid());
+    let h = snap
+        .histogram("simulate.judge")
+        .expect("simulate.judge histogram");
+    assert_eq!(h.count, 1, "one simulated judgement, one span");
+    assert!(
+        snap.histogram("simulate").is_none(),
+        "judgement billed to the report's simulate span"
+    );
 }
