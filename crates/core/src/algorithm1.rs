@@ -94,6 +94,29 @@ struct Evaluation {
     objective: f64,
 }
 
+/// An oracle's answer for one parameter point, kept so the learning loop
+/// never asks about the same bits twice.
+struct Answer {
+    bits: Vec<u64>,
+    ev: Evaluation,
+    result: Result<Flowpipe, ReachError>,
+}
+
+impl Answer {
+    /// Whether the answer was computed for exactly `params`.
+    fn is_for(&self, params: &[f64]) -> bool {
+        same_bits(&self.bits, params)
+    }
+}
+
+fn param_bits(params: &[f64]) -> Vec<u64> {
+    params.iter().map(|p| p.to_bits()).collect()
+}
+
+fn same_bits(bits: &[u64], params: &[f64]) -> bool {
+    bits.len() == params.len() && bits.iter().zip(params).all(|(b, p)| *b == p.to_bits())
+}
+
 /// Penalty offset for candidates violating the safety constraint or whose
 /// flowpipe diverged.
 const FAIL_PENALTY: f64 = 1e3;
@@ -123,7 +146,6 @@ pub struct Algorithm1 {
     goal_anchor: Vec<f64>,
     safety_cap: f64,
     pool: Option<crate::parallel::WorkerPool>,
-    cache: Option<std::sync::Arc<dwv_reach::ReachCache>>,
 }
 
 impl Algorithm1 {
@@ -145,7 +167,6 @@ impl Algorithm1 {
             goal_anchor,
             safety_cap,
             pool: None,
-            cache: None,
         }
     }
 
@@ -159,21 +180,6 @@ impl Algorithm1 {
     #[must_use]
     pub fn with_pool(mut self, pool: crate::parallel::WorkerPool) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Memoizes verifier results in `cache`, keyed by the bit-exact hash of
-    /// the controller parameters and of the problem's initial set.
-    ///
-    /// Every iteration of the learning loop re-verifies parameters the
-    /// previous iteration already verified (the restored `θ` after a
-    /// rejected step, or the accepted candidate), and the final judgement
-    /// verifies the last controller once more — those repeats are answered
-    /// from memory. The learning trajectory, trace, and verifier-call counts
-    /// are unchanged; only wall-clock time drops.
-    #[must_use]
-    pub fn with_cache(mut self, cache: std::sync::Arc<dwv_reach::ReachCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -397,7 +403,10 @@ impl Algorithm1 {
     /// The generic learning loop over any controller family and verifier.
     ///
     /// `verify` is the `Ψ(f, X₀, κ_θ)` oracle; `fresh` draws a random
-    /// controller for (re)initialization.
+    /// controller for (re)initialization. `verify` must be a deterministic
+    /// function of the controller's parameter bits: the loop keeps the
+    /// answer for the current `θ` and never asks about those bits again
+    /// (not at the next iteration, not at acceptance).
     #[must_use]
     pub fn learn_with_restarts<C, V>(
         &self,
@@ -409,22 +418,12 @@ impl Algorithm1 {
         C: Controller + Clone + Sync,
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
-        // With a cache attached, repeated verifications of bit-identical
-        // parameters are answered from memory; call counters still count
-        // every oracle query, so traces are unaffected.
-        let cell_key = dwv_reach::hash_cell(&self.problem.x0);
-        let verify = move |c: &C| -> Result<Flowpipe, ReachError> {
+        let verify = |c: &C| -> Result<Flowpipe, ReachError> {
             let _s = dwv_obs::span("verify");
             if dwv_obs::enabled() {
                 dwv_obs::counter("alg1.verifier_calls").inc();
             }
-            match &self.cache {
-                Some(cache) => {
-                    cache
-                        .get_or_compute(dwv_reach::hash_params(&c.params()), cell_key, || verify(c))
-                }
-                None => verify(c),
-            }
+            verify(c)
         };
         // One oracle plays both roles: with `confirm_every == 0` every
         // query is rigorous and no confirmation step runs, so this path is
@@ -446,6 +445,13 @@ impl Algorithm1 {
     ///   without a probe claim (cheap tiers can be too loose to ever see
     ///   convergence);
     /// * the final acceptance and [`judge`] verdict always use `rigor`.
+    ///
+    /// Both oracles are pure functions of the parameter bits, so the loop
+    /// never asks one of them twice about the same `θ`. `θ`'s probe answer
+    /// is carried into the next iteration; the acceptance reuses a `rigor`
+    /// answer for exactly the final bits (in single-oracle mode every
+    /// answer is one); the coordinate gradient is reused at an unchanged
+    /// `θ`. A probe answer is never reused as a rigorous one.
     ///
     /// `tier_stats`, when present, reports the portfolio's cumulative
     /// per-tier call counts; the loop diffs it around each iteration to
@@ -471,16 +477,7 @@ impl Algorithm1 {
         let radius_max = 80.0 * p;
         let radius_min = 2.0 * p;
 
-        let verify = &verify;
-        let cache_hits_so_far = || self.cache.as_ref().map_or(0, |c| c.hits());
-
         let mut calls_this_iter = 0usize;
-        let eval_ctrl = |c: &C, calls: &mut usize| -> (Evaluation, Option<Flowpipe>) {
-            *calls += 1;
-            let attempt = verify(c);
-            let ev = self.evaluate(&attempt);
-            (ev, attempt.ok())
-        };
 
         // Cumulative per-tier bill at the start of the iteration being
         // recorded; taken before initialization so the init draws bill to
@@ -498,20 +495,23 @@ impl Algorithm1 {
             }
         };
 
+        // The probe answer for `θ`'s bits: the current controller, the
+        // accepted candidate or the best fresh draw. The next iteration
+        // reuses it when `θ` still has exactly those bits.
+        let mut carried: Option<Answer> = None;
+        // The last `rigor` answer (surrogate mode's confirmations and
+        // stop-checks), for the acceptance.
+        let mut rigorous: Option<Answer> = None;
+        // The coordinate gradient and the `θ` bits it was estimated at.
+        let mut grad_memo: Option<(Vec<u64>, Vec<f64>)> = None;
+
         // Initialize: explicit controller, or the best of three random draws.
         let mut controller = match init {
             Some(c) => c,
             None => {
-                let mut best = fresh(&mut rng);
-                let (mut best_ev, _) = eval_ctrl(&best, &mut calls_this_iter);
-                for _ in 0..2 {
-                    let cand = fresh(&mut rng);
-                    let (ev, _) = eval_ctrl(&cand, &mut calls_this_iter);
-                    if ev.objective > best_ev.objective {
-                        best = cand;
-                        best_ev = ev;
-                    }
-                }
+                let (best, answer) =
+                    self.best_fresh_draw(fresh, &mut rng, verify, &mut calls_this_iter);
+                carried = Some(answer);
                 best
             }
         };
@@ -526,14 +526,18 @@ impl Algorithm1 {
 
         for i in 0..=self.config.max_updates {
             let started = Instant::now();
-            let hits_before = cache_hits_so_far();
             let mut calls = std::mem::take(&mut calls_this_iter);
 
-            let (current, fp) = eval_ctrl(&controller, &mut calls);
-            let remainder_width = fp.as_ref().map_or(0.0, Flowpipe::final_width);
-            if let Some(fp) = fp {
-                last_flowpipe = Some(fp);
+            let answer = match carried.take() {
+                Some(a) if a.is_for(&controller.params()) => a,
+                _ => self.ask(verify, &controller, &mut calls),
+            };
+            let current = answer.ev;
+            let remainder_width = answer.result.as_ref().map_or(0.0, Flowpipe::final_width);
+            if let Ok(fp) = &answer.result {
+                last_flowpipe = Some(fp.clone());
             }
+            carried = Some(answer);
             if current.objective > best_objective {
                 best_objective = current.objective;
                 best_theta = controller.params();
@@ -558,7 +562,6 @@ impl Algorithm1 {
                 reach_avoid: current.reach_avoid,
                 elapsed: started.elapsed(),
                 verifier_calls: calls,
-                cache_hits: cache_hits_so_far() - hits_before,
                 remainder_width,
                 tier_calls: Vec::new(),
             };
@@ -570,15 +573,15 @@ impl Algorithm1 {
                 let confirmed = if confirm_every == 0 {
                     true
                 } else {
-                    calls += 1;
-                    let attempt = rigor(&controller);
-                    let ev = self.evaluate(&attempt);
-                    if let Ok(fp) = attempt {
-                        last_flowpipe = Some(fp);
+                    let check = self.ask(rigor, &controller, &mut calls);
+                    if let Ok(fp) = &check.result {
+                        last_flowpipe = Some(fp.clone());
                     }
                     record.verifier_calls = calls;
                     record.elapsed = started.elapsed();
-                    ev.reach_avoid
+                    let confirmed = check.ev.reach_avoid;
+                    rigorous = Some(check);
+                    confirmed
                 };
                 if confirmed {
                     bill_tiers(&mut record);
@@ -592,12 +595,12 @@ impl Algorithm1 {
                 // Periodic rigorous stop-check: the cheap tiers may be too
                 // loose to ever report reach-avoid on a controller the
                 // rigorous tier can verify.
-                calls += 1;
-                let attempt = rigor(&controller);
-                let ev = self.evaluate(&attempt);
-                if let Ok(fp) = attempt {
-                    last_flowpipe = Some(fp);
+                let check = self.ask(rigor, &controller, &mut calls);
+                if let Ok(fp) = &check.result {
+                    last_flowpipe = Some(fp.clone());
                 }
+                let ev = check.ev;
+                rigorous = Some(check);
                 if ev.reach_avoid {
                     record.reach_avoid = true;
                     record.unsafe_metric = ev.unsafe_metric;
@@ -631,17 +634,9 @@ impl Algorithm1 {
                         .collect();
                     controller.set_params(&perturbed);
                 } else {
-                    let mut best = fresh(&mut rng);
-                    let (mut best_ev, _) = eval_ctrl(&best, &mut calls);
-                    for _ in 0..2 {
-                        let cand = fresh(&mut rng);
-                        let (ev, _) = eval_ctrl(&cand, &mut calls);
-                        if ev.objective > best_ev.objective {
-                            best = cand;
-                            best_ev = ev;
-                        }
-                    }
+                    let (best, answer) = self.best_fresh_draw(fresh, &mut rng, verify, &mut calls);
                     controller = best;
+                    carried = Some(answer);
                 }
                 radius = radius_init;
                 record.elapsed = started.elapsed();
@@ -652,9 +647,26 @@ impl Algorithm1 {
             }
 
             // Difference-method gradient of the shaped objective (Eq. 5).
+            // The coordinate estimator is deterministic in `θ`, so after a
+            // rejected step or a halving its probes would repeat exactly;
+            // SPSA draws fresh directions every time and always probes.
             let theta = controller.params();
-            let grad =
-                self.estimate_gradient(&theta, &mut controller, verify, &mut rng, &mut calls);
+            let grad = match &grad_memo {
+                Some((bits, grad)) if same_bits(bits, &theta) => grad.clone(),
+                _ => {
+                    let grad = self.estimate_gradient(
+                        &theta,
+                        &mut controller,
+                        verify,
+                        &mut rng,
+                        &mut calls,
+                    );
+                    if matches!(self.config.estimator, GradientEstimator::Coordinate) {
+                        grad_memo = Some((param_bits(&theta), grad.clone()));
+                    }
+                    grad
+                }
+            };
             let mag = grad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if mag <= 1e-12 {
                 radius *= 0.5;
@@ -670,23 +682,33 @@ impl Algorithm1 {
                 .map(|(t, g)| t + radius * g / mag)
                 .collect();
             controller.set_params(&candidate);
-            let (cand_ev, _) = eval_ctrl(&controller, &mut calls);
-            if cand_ev.objective > current.objective {
+            let cand = self.ask(verify, &controller, &mut calls);
+            if cand.ev.objective > current.objective {
                 radius = (radius * 1.4).min(radius_max);
+                carried = Some(cand);
             } else {
                 controller.set_params(&theta);
                 radius *= 0.5;
             }
             record.elapsed = started.elapsed();
             record.verifier_calls = calls;
-            record.cache_hits = cache_hits_so_far() - hits_before;
             bill_tiers(&mut record);
             trace.push(record);
         }
 
         // Acceptance is always rigorous: the returned verdict and
-        // certificate never rest on a cheap tier.
-        let final_attempt = rigor(&controller);
+        // certificate never rest on a cheap tier. In single-oracle mode
+        // every answer is rigorous; otherwise only a `rigor` answer for
+        // exactly the final bits spares the call.
+        let held = if confirm_every == 0 {
+            carried
+        } else {
+            rigorous
+        };
+        let final_attempt = match held {
+            Some(a) if a.is_for(&controller.params()) => a.result,
+            _ => rigor(&controller),
+        };
         let verified = judge(
             &self.problem,
             &controller,
@@ -697,20 +719,6 @@ impl Algorithm1 {
         if let Ok(fp) = final_attempt {
             last_flowpipe = Some(fp);
         }
-        if dwv_obs::enabled() {
-            if let Some(cache) = &self.cache {
-                let s = cache.stats();
-                dwv_obs::event(
-                    "reach_cache.stats",
-                    &[
-                        ("hits", s.hits as f64),
-                        ("misses", s.misses as f64),
-                        ("evictions", s.evictions as f64),
-                        ("entries", s.entries as f64),
-                    ],
-                );
-            }
-        }
         LearnOutcome {
             controller,
             verified,
@@ -719,6 +727,46 @@ impl Algorithm1 {
             flowpipe: last_flowpipe,
             portfolio: None,
         }
+    }
+
+    /// Asks `oracle` about `c` and scores the answer.
+    fn ask<C, O>(&self, oracle: &O, c: &C, calls: &mut usize) -> Answer
+    where
+        C: Controller,
+        O: Fn(&C) -> Result<Flowpipe, ReachError>,
+    {
+        *calls += 1;
+        let result = oracle(c);
+        Answer {
+            bits: param_bits(&c.params()),
+            ev: self.evaluate(&result),
+            result,
+        }
+    }
+
+    /// The best of three fresh random controllers, with its probe answer.
+    fn best_fresh_draw<C, V>(
+        &self,
+        fresh: &mut dyn FnMut(&mut StdRng) -> C,
+        rng: &mut StdRng,
+        verify: &V,
+        calls: &mut usize,
+    ) -> (C, Answer)
+    where
+        C: Controller,
+        V: Fn(&C) -> Result<Flowpipe, ReachError>,
+    {
+        let mut best = fresh(rng);
+        let mut best_answer = self.ask(verify, &best, calls);
+        for _ in 0..2 {
+            let cand = fresh(rng);
+            let answer = self.ask(verify, &cand, calls);
+            if answer.ev.objective > best_answer.ev.objective {
+                best = cand;
+                best_answer = answer;
+            }
+        }
+        (best, best_answer)
     }
 
     fn estimate_gradient<C, V>(
@@ -968,33 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_learning_is_identical_and_hits() {
-        let cfg = quick_config(MetricKind::Geometric, 7);
-        let init = LinearController::new(2, 1, vec![0.2, -0.5]);
-        let plain = Algorithm1::new(acc::reach_avoid_problem(), cfg.clone())
-            .learn_linear_from(init.clone())
-            .unwrap();
-        let cache = std::sync::Arc::new(dwv_reach::ReachCache::new());
-        let cached = Algorithm1::new(acc::reach_avoid_problem(), cfg)
-            .with_cache(std::sync::Arc::clone(&cache))
-            .learn_linear_from(init)
-            .unwrap();
-        // Same trajectory and verdict, same oracle-call accounting…
-        assert_eq!(cached.iterations, plain.iterations);
-        assert_eq!(cached.controller.params(), plain.controller.params());
-        assert_eq!(
-            cached.trace.total_verifier_calls(),
-            plain.trace.total_verifier_calls()
-        );
-        // …but repeated subproblems were answered from memory.
-        assert!(cache.hits() > 0, "expected cache hits across iterations");
-        assert_eq!(
-            cache.hits() + cache.misses(),
-            cached.trace.total_verifier_calls() + 1
-        );
-    }
-
-    #[test]
     fn surrogate_mode_verifies_acc_with_few_rigorous_calls() {
         let cfg = LearnConfig::builder()
             .metric(MetricKind::Geometric)
@@ -1025,8 +1046,8 @@ mod tests {
         );
         // Per-iteration tier bills reconcile with the portfolio totals: the
         // cheap tiers bill entirely inside the loop; the rigorous tier may
-        // add at most one acceptance call after it (zero when the final
-        // verification was a cache hit).
+        // add at most one acceptance call after it (zero when a confirmation
+        // or stop-check already verified the final parameters).
         let mut by_tier = vec![0u64; stats.calls_by_tier.len()];
         for r in outcome.trace.records() {
             assert_eq!(r.tier_calls.len(), by_tier.len(), "it {}", r.iteration);

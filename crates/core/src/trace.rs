@@ -17,11 +17,11 @@ pub struct IterationRecord {
     /// Wall-clock time of the iteration, dominated by the verifier calls
     /// (the quantity Table 2 averages).
     pub elapsed: Duration,
-    /// Number of verifier invocations made this iteration.
+    /// Number of verifier invocations made this iteration. Each one is a
+    /// distinct oracle query: the learner reuses the answers it already
+    /// holds (the current `θ`'s flowpipe, an unchanged `θ`'s coordinate
+    /// gradient) instead of asking again.
     pub verifier_calls: usize,
-    /// Verifier invocations answered by the [`dwv_reach::ReachCache`] this
-    /// iteration (0 when no cache is attached).
-    pub cache_hits: usize,
     /// Width of the widest component of the final reach-set enclosure of
     /// this iteration's flowpipe ([`dwv_reach::Flowpipe::final_width`]) —
     /// the per-iteration view of the tightness the verifier maintains while
@@ -97,7 +97,7 @@ impl LearningTrace {
     }
 
     /// Serializes the trace as CSV — the series plotted in Figures 4 and 5
-    /// plus the observability columns (cache hits, enclosure width).
+    /// plus the observability columns (verifier calls, enclosure width).
     ///
     /// When any record carries per-tier portfolio accounting
     /// ([`IterationRecord::tier_calls`]), one `tier{i}_calls` column per
@@ -112,7 +112,7 @@ impl LearningTrace {
             .max()
             .unwrap_or(0);
         let mut out = String::from(
-            "iteration,unsafe_metric,goal_metric,reach_avoid,millis,verifier_calls,cache_hits,remainder_width",
+            "iteration,unsafe_metric,goal_metric,reach_avoid,millis,verifier_calls,remainder_width",
         );
         for i in 0..n_tiers {
             out.push_str(&format!(",tier{i}_calls"));
@@ -120,14 +120,13 @@ impl LearningTrace {
         out.push('\n');
         for r in &self.records {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{}",
                 r.iteration,
                 r.unsafe_metric,
                 r.goal_metric,
                 r.reach_avoid,
                 r.elapsed.as_millis(),
                 r.verifier_calls,
-                r.cache_hits,
                 r.remainder_width,
             ));
             for i in 0..n_tiers {
@@ -179,7 +178,6 @@ mod tests {
             reach_avoid: i == 2,
             elapsed: Duration::from_millis(ms),
             verifier_calls: 2,
-            cache_hits: 1,
             remainder_width: 0.25,
             tier_calls: Vec::new(),
         }
@@ -207,8 +205,8 @@ mod tests {
         let row = csv.lines().nth(1).unwrap();
         assert_eq!(row.split(',').count(), header_cols);
         assert!(
-            row.ends_with(",1,0.25"),
-            "cache_hits/remainder_width: {row}"
+            row.ends_with(",2,0.25"),
+            "verifier_calls/remainder_width: {row}"
         );
     }
 

@@ -97,6 +97,16 @@ impl Interval {
         Self::new(v, v)
     }
 
+    /// The tightest enclosure of the value `v`: the point `[v, v]`, or
+    /// [`Interval::ENTIRE`] when `v` is NaN. Polynomial kernels range their
+    /// coefficients through this: a coefficient lost to overflow (`inf − inf`,
+    /// `0 · inf`) stands for an unknown real, which only the whole line
+    /// encloses, so a huge-but-finite model widens instead of panicking.
+    #[must_use]
+    pub fn enclosing(v: f64) -> Self {
+        Self::sound(v, v)
+    }
+
     /// Creates the symmetric interval `[-r, r]`.
     ///
     /// # Panics
@@ -509,6 +519,17 @@ mod tests {
         assert!(Interval::try_new(2.0, 1.0).is_err());
         assert!(Interval::try_new(f64::NAN, 1.0).is_err());
         assert!(Interval::try_new(0.0, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn enclosing_is_the_point_or_the_whole_line() {
+        assert_eq!(Interval::enclosing(3.5), Interval::point(3.5));
+        assert_eq!(Interval::enclosing(-0.0), Interval::point(-0.0));
+        assert_eq!(
+            Interval::enclosing(f64::INFINITY),
+            Interval::point(f64::INFINITY)
+        );
+        assert_eq!(Interval::enclosing(f64::NAN), Interval::ENTIRE);
     }
 
     #[test]

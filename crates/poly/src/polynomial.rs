@@ -403,6 +403,17 @@ impl Polynomial {
         self.num_terms() == 0
     }
 
+    /// Whether every coefficient is finite (no `±inf`, no NaN). Interval
+    /// evaluation of a polynomial with a NaN coefficient is undefined, so
+    /// enclosure pipelines check this before ranging an overflowed model.
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        match self.packed_terms() {
+            Some((_, coeffs)) => coeffs.iter().all(|c| c.is_finite()),
+            None => self.iter().all(|(_, c)| c.is_finite()),
+        }
+    }
+
     /// Iterates over `(exponents, coefficient)` pairs in lexicographic
     /// monomial order.
     pub fn iter(&self) -> TermIter<'_> {
@@ -560,8 +571,8 @@ impl Polynomial {
                 ws.powers.sync(domain);
                 v.iter()
                     .map(|(k, c)| match ws.powers.mono(k, domain) {
-                        Some(m) => Interval::point(c) * m,
-                        None => Interval::point(c),
+                        Some(m) => Interval::enclosing(c) * m,
+                        None => Interval::enclosing(c),
                     })
                     .sum()
             }
@@ -1147,8 +1158,8 @@ impl Polynomial {
                         dst.push(k, c);
                     } else {
                         overflow += match ws.powers.mono(k, domain) {
-                            Some(m) => Interval::point(c) * m,
-                            None => Interval::point(c),
+                            Some(m) => Interval::enclosing(c) * m,
+                            None => Interval::enclosing(c),
                         };
                     }
                 }
@@ -1484,12 +1495,12 @@ pub(crate) fn packed_mono_range(key: u64, domain: &[Interval]) -> Option<Interva
 }
 
 /// Interval range of one packed term over `domain` — the per-term evaluation
-/// [`Polynomial::eval_interval`] performs: `point(c) · mono(key, domain)`.
+/// [`Polynomial::eval_interval`] performs: `enclosing(c) · mono(key, domain)`.
 #[inline]
 fn packed_term_range(key: u64, c: f64, domain: &[Interval]) -> Interval {
     match packed_mono_range(key, domain) {
-        Some(m) => Interval::point(c) * m,
-        None => Interval::point(c),
+        Some(m) => Interval::enclosing(c) * m,
+        None => Interval::enclosing(c),
     }
 }
 
@@ -1508,8 +1519,8 @@ fn boxed_term_range(exps: &[u32], c: f64, domain: &[Interval]) -> Interval {
         }
     }
     match mono {
-        Some(m) => Interval::point(c) * m,
-        None => Interval::point(c),
+        Some(m) => Interval::enclosing(c) * m,
+        None => Interval::enclosing(c),
     }
 }
 
@@ -1923,6 +1934,24 @@ mod tests {
             2,
             vec![(vec![0, 0], 2.0), (vec![1, 0], 1.0), (vec![1, 2], -3.0)],
         )
+    }
+
+    #[test]
+    fn is_finite_sees_every_coefficient() {
+        assert!(p_xy().is_finite());
+        assert!(Polynomial::zero(2).is_finite());
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let p = Polynomial::from_terms(2, vec![(vec![0, 0], 1.0), (vec![1, 2], bad)]);
+            assert!(!p.is_finite(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn overflowed_coefficients_range_to_the_whole_line() {
+        // inf − inf leaves a NaN coefficient; ranging it must not panic.
+        let p = Polynomial::from_terms(1, vec![(vec![1], f64::NAN)]);
+        let r = p.eval_interval(&[Interval::new(-1.0, 1.0)]);
+        assert_eq!(r, Interval::ENTIRE);
     }
 
     #[test]

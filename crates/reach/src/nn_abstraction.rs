@@ -263,6 +263,13 @@ impl NnAbstraction for TaylorAbstraction {
                         z.add_scaled_assign(hi, w, ws);
                     }
                 }
+                // Huge weights can overflow the affine part; an overflowed
+                // model has no interval range to relax the activation on.
+                if !z.is_finite() {
+                    return Err(ReachError::Unsupported(format!(
+                        "layer {li} pre-activation enclosure is not finite"
+                    )));
+                }
                 next.push(self.activation_model_ws(layer.activation(), &z, domain, ws));
             }
             h = next;
@@ -371,12 +378,23 @@ impl NnAbstraction for BernsteinAbstraction {
             let g = dwv_poly::bernstein::approximate(f, &vec![self.degree; n], &unit);
             // Sampled remainder + Lipschitz inflation over grid gaps.
             let mut eps = 0.0f64;
+            let mut samples_finite = true;
             for p in unit.grid(self.samples_per_dim) {
-                eps = eps.max((f(&p) - g.eval(&p)).abs());
+                let gap = (f(&p) - g.eval(&p)).abs();
+                samples_finite &= gap.is_finite();
+                eps = eps.max(gap);
             }
             let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
             let lip_g = gradient_bound(&g, &unit);
             eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
+            // Huge weights or scales overflow the network's outputs: a fit
+            // with a non-finite sample gap, coefficient or error bound
+            // encloses nothing.
+            if !(samples_finite && eps.is_finite() && g.is_finite()) {
+                return Err(ReachError::Unsupported(format!(
+                    "the Bernstein fit of network output {o} is not finite"
+                )));
+            }
             let g_tm = TaylorModel::new(g, Interval::symmetric(eps));
             let composed = g_tm.compose(&y_models, self.compose_order, domain);
             out.push(composed);

@@ -197,11 +197,17 @@ impl<A: NnAbstraction> TaylorReach<A> {
                 let u = self
                     .abstraction
                     .abstract_network_ws(controller, &state, &domain, &mut ws)?;
+                if !u.is_finite() {
+                    return Err(overflowed(k));
+                }
                 let StepFlow { end, step_box } = self
                     .config
                     .integrator
                     .flow_step_ws(&state, &u, &self.rhs, self.delta, &domain, &mut ws)
                     .map_err(|source| ReachError::Diverged { step: k, source })?;
+                if !end.is_finite() {
+                    return Err(overflowed(k));
+                }
                 if dwv_obs::enabled() {
                     dwv_obs::counter("reach.flowpipe_steps").inc();
                     // The TM remainder width at the step's end is the pure
@@ -253,6 +259,18 @@ impl<A: NnAbstraction> TaylorReach<A> {
         } else {
             state.range_box(domain)
         }
+    }
+}
+
+/// The error for control step `step` whose Taylor models overflowed `f64`
+/// (a non-finite coefficient or remainder): the enclosure diverged as
+/// surely as when remainder validation gives up.
+fn overflowed(step: usize) -> ReachError {
+    ReachError::Diverged {
+        step,
+        source: dwv_taylor::FlowpipeError::Diverged {
+            last_radius: f64::INFINITY,
+        },
     }
 }
 
@@ -458,6 +476,56 @@ mod tests {
             Err(ReachError::Diverged { .. }) => {}
             Ok(fp) => assert!(fp.final_step().enclosure.volume() > 1.0),
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    /// `[2, 8, 1]` Van der Pol controllers whose enclosures overflow `f64`:
+    /// an infinite or huge output scale, huge weights, and both.
+    fn overflowing_controllers() -> Vec<(&'static str, NnController)> {
+        let net = Network::new(&[2, 8, 1], Activation::ReLU, Activation::Tanh, 3);
+        let mut huge = net.clone();
+        let scaled: Vec<f64> = net.params().iter().map(|w| w * 1e300).collect();
+        huge.set_params(&scaled);
+        vec![
+            (
+                "scale +inf",
+                NnController::with_output_scale(net.clone(), f64::INFINITY),
+            ),
+            ("scale 1e300", NnController::with_output_scale(net, 1e300)),
+            (
+                "weights x1e300",
+                NnController::with_output_scale(huge.clone(), 1.0),
+            ),
+            (
+                "weights x1e300, scale 1e300",
+                NnController::with_output_scale(huge, 1e300),
+            ),
+        ]
+    }
+
+    #[test]
+    fn overflowing_controllers_end_in_a_typed_error() {
+        // Each of these used to panic on a NaN interval endpoint: in the
+        // defect tape's truncated products, or when ranging an overflowed
+        // pre-activation model.
+        let p = oscillator::reach_avoid_problem();
+        let cfg = || TaylorReachConfig {
+            dependency: DependencyTracking::BoxReinit,
+            ..TaylorReachConfig::default()
+        };
+        for (name, ctrl) in overflowing_controllers() {
+            let polar = TaylorReach::new(&p, TaylorAbstraction::with_order(2), cfg()).reach(&ctrl);
+            let bern =
+                TaylorReach::new(&p, BernsteinAbstraction::with_degree(2), cfg()).reach(&ctrl);
+            for (abstraction, r) in [("polar", polar), ("bernstein", bern)] {
+                assert!(
+                    matches!(
+                        r,
+                        Err(ReachError::Diverged { .. } | ReachError::Unsupported(_))
+                    ),
+                    "{name} under {abstraction}: {r:?}"
+                );
+            }
         }
     }
 }

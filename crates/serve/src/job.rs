@@ -177,8 +177,10 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
             order,
             params,
         } => {
-            if *output_scale <= 0.0 || output_scale.is_nan() {
-                return Err(JobError::Invalid("output_scale must be > 0".into()));
+            if !(output_scale.is_finite() && *output_scale > 0.0) {
+                return Err(JobError::Invalid(
+                    "output_scale must be finite and > 0".into(),
+                ));
             }
             if *order == 0 || *order > 6 {
                 return Err(JobError::Invalid(format!("order {order} out of 1..=6")));

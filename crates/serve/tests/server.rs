@@ -265,6 +265,83 @@ fn non_finite_gains_end_in_a_verdict_not_a_dead_worker() {
     server.shutdown();
 }
 
+/// Van der Pol `[2, 8, 1]` `AssessNn` specs whose enclosures overflow `f64`:
+/// an infinite or huge output scale, huge weights, and both.
+fn overflowing_nn_specs() -> Vec<(&'static str, JobSpec)> {
+    let params = dwv_nn::Network::new(
+        &[2, 8, 1],
+        dwv_nn::Activation::ReLU,
+        dwv_nn::Activation::Tanh,
+        3,
+    )
+    .params();
+    let huge: Vec<f64> = params.iter().map(|w| w * 1e300).collect();
+    let spec = |output_scale: f64, params: &[f64]| JobSpec {
+        problem: ProblemId::VanDerPol,
+        kind: JobKind::AssessNn {
+            hidden: vec![8],
+            output_scale,
+            order: 2,
+            params: params.to_vec(),
+        },
+    };
+    vec![
+        ("scale +inf", spec(f64::INFINITY, &params)),
+        ("scale 1e300", spec(1e300, &params)),
+        ("weights x1e300", spec(1.0, &huge)),
+        ("weights x1e300, scale 1e300", spec(1e300, &huge)),
+    ]
+}
+
+#[test]
+fn overflowing_nn_controllers_end_in_a_typed_error_or_a_verdict() {
+    // Each of these used to panic the worker on a NaN interval endpoint.
+    let pool = WorkerPool::new(1);
+    let cache = ReachCache::new();
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (i, (name, spec)) in overflowing_nn_specs().into_iter().enumerate() {
+        let direct = run_job(&spec, 8, &pool, &cache, &CancelToken::new());
+        let job_id = 500 + i as u64;
+        let reply = client.submit(8, job_id, 0, spec.clone()).expect("submit");
+        if name == "scale +inf" {
+            assert!(
+                matches!(direct, Err(JobError::Invalid(_))),
+                "{name}: {direct:?}"
+            );
+            assert!(
+                matches!(
+                    reply,
+                    Frame::Rejected {
+                        code: RejectCode::BadSpec,
+                        ..
+                    }
+                ),
+                "{name}: {reply:?}"
+            );
+            continue;
+        }
+        let direct = direct.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(matches!(reply, Frame::Accepted { .. }), "{name}: {reply:?}");
+        let served = client.stream_result(8, job_id).expect("served");
+        assert!(
+            served.verdict.starts_with("Unsafe") || served.verdict.starts_with("Unknown"),
+            "{name}: {}",
+            served.verdict
+        );
+        assert_eq!(served.verdict, direct.verdict, "{name}");
+        assert_eq!(served.report_csv, direct.report_csv, "{name}");
+    }
+    // The worker survived every job and still serves.
+    client.submit(8, 600, 0, acc_verify_spec()).expect("submit");
+    let out = client.stream_result(8, 600).expect("served");
+    assert!(out.verdict.starts_with("reach-avoid"), "{}", out.verdict);
+    server.shutdown();
+}
+
 #[test]
 fn queued_jobs_can_be_cancelled() {
     let server = start(ServeConfig {

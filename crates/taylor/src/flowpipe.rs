@@ -268,6 +268,15 @@ impl OdeIntegrator {
             dwv_obs::counter("picard.poly_iters").add(iters_run);
         }
         debug_assert_eq!(ws.flow_xs.len(), n);
+        // A candidate that overflowed `f64` (a coefficient at ±inf or NaN)
+        // has no interval enclosure to validate: the step diverged.
+        if !ws.flow_xs.iter().all(Polynomial::is_finite) {
+            note_divergence(obs, 0, f64::INFINITY);
+            ws.dom_ext = dom_ext;
+            return Err(FlowpipeError::Diverged {
+                last_radius: f64::INFINITY,
+            });
+        }
         let polys: Vec<TaylorModel> = ws
             .flow_xs
             .drain(..)

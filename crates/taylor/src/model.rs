@@ -163,6 +163,13 @@ impl TaylorModel {
         self.poly.nvars()
     }
 
+    /// Whether every coefficient and both remainder endpoints are finite —
+    /// the precondition for ranging the model or feeding it to a flow step.
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        self.remainder.is_finite() && self.poly.is_finite()
+    }
+
     /// Replaces the remainder (used by remainder-validation loops).
     #[must_use]
     pub fn with_remainder(&self, remainder: Interval) -> Self {
@@ -762,6 +769,12 @@ impl TmVector {
         &self.tms
     }
 
+    /// Whether every component is finite ([`TaylorModel::is_finite`]).
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        self.tms.iter().all(TaylorModel::is_finite)
+    }
+
     /// Consumes the vector, yielding its components (the move-based
     /// counterpart of [`TmVector::components`]` + to_vec()`).
     #[must_use]
@@ -856,6 +869,17 @@ mod tests {
     #[should_panic(expected = "NaN coefficient")]
     fn new_guards_nan_coefficient_in_debug() {
         let _ = TaylorModel::new(Polynomial::constant(1, f64::NAN), Interval::ZERO);
+    }
+
+    #[test]
+    fn is_finite_checks_coefficients_and_remainder() {
+        assert!(TaylorModel::var(1, 0).is_finite());
+        let huge_rem = TaylorModel::new(Polynomial::var(1, 0), Interval::new(0.0, f64::INFINITY));
+        assert!(!huge_rem.is_finite());
+        let inf_coeff = TaylorModel::new(Polynomial::constant(1, f64::INFINITY), Interval::ZERO);
+        assert!(!inf_coeff.is_finite());
+        let v = TmVector::new(vec![TaylorModel::var(1, 0), inf_coeff]);
+        assert!(!v.is_finite());
     }
 
     #[test]

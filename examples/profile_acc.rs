@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("sweep bill     : {:?} calls by tier", stats.calls_by_tier);
     }
 
-    // Per-iteration cache hits, enclosure widths and per-tier verifier
-    // calls ride in the trace CSV.
+    // Per-iteration verifier calls, enclosure widths and per-tier
+    // verifier calls ride in the trace CSV.
     let csv = outcome.learning.trace.to_csv();
     println!(
         "trace CSV: {} rows, header: {}",

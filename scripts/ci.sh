@@ -92,6 +92,11 @@ if [[ "${1:-}" == "--all" ]]; then
   # controllers, lane-boundary sample counts and horizons 0/1).
   run cargo test -q --release --offline -p dwv-dynamics
   run cargo test -q --release --offline -p dwv-core --test rollout_reference
+  # Algorithm 1 reuse gate: the learner never re-asks an oracle about
+  # parameter bits it already holds an answer for, and that reuse leaves
+  # learned controllers, metrics, verdicts and flowpipes bit-identical to
+  # golden values recorded when every repeat still ran the verifier.
+  run cargo test -q --release --offline -p dwv-core --test algorithm1_reuse
   run cargo test -q --release --offline -p dwv-core --lib -- verdict counterexample
   # Serving gate: the verification-as-a-service layer. Crate tests (frame
   # codec fuzz/property suite + server integration), the golden
