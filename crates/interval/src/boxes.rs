@@ -368,14 +368,7 @@ impl IntervalBox {
                 .dims
                 .iter()
                 .enumerate()
-                .map(|(d, iv)| {
-                    if per_dim == 1 {
-                        iv.mid()
-                    } else {
-                        // dwv-lint: allow(float-hygiene) -- sample-point heuristic, not a verified bound
-                        iv.lo() + iv.width() * idx[d] as f64 / (per_dim - 1) as f64
-                    }
-                })
+                .map(|(d, iv)| iv.grid_point(idx[d], per_dim - 1))
                 .collect();
             out.push(p);
             for d in (0..n).rev() {

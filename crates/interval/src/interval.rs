@@ -172,6 +172,20 @@ impl Interval {
         }
     }
 
+    /// Point `k` of an even grid with `segments` steps from `lo` to `hi`:
+    /// `lo + width·k/segments`, or the midpoint when `segments == 0`. The
+    /// one expression behind [`crate::IntervalBox::grid`] and the Bernstein
+    /// sample nodes, so callers that walk a grid by index reproduce those
+    /// points bit for bit.
+    #[must_use]
+    pub fn grid_point(&self, k: usize, segments: usize) -> f64 {
+        if segments == 0 {
+            self.mid()
+        } else {
+            self.lo + self.width() * k as f64 / segments as f64
+        }
+    }
+
     /// The radius `(hi - lo) / 2` (half the width).
     #[must_use]
     pub fn rad(&self) -> f64 {

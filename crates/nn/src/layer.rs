@@ -139,6 +139,23 @@ impl Layer {
         (act, pre)
     }
 
+    /// The activations of [`Layer::forward`] written into `out` (cleared
+    /// first): the same `bias[o] + dot(row_o, x)` pre-activations, with no
+    /// allocation once `out` has grown to the layer width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != in_dim`.
+    pub(crate) fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
+        out.clear();
+        out.reserve(self.out_dim);
+        for (o, &b) in self.bias.iter().enumerate() {
+            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
+            out.push(self.activation.apply(b + kernels::dot_chunked(row, x)));
+        }
+    }
+
     /// Interval forward pass: a directed-rounding enclosure of the layer's
     /// image of the input box.
     ///

@@ -5,6 +5,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 
+/// Activation buffers for [`Network::forward_into`], reused across calls.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    /// The current layer's activations (the output after a pass).
+    out: Vec<f64>,
+    /// The next layer's activations, swapped with `out` per layer.
+    next: Vec<f64>,
+}
+
 /// A dense feed-forward network.
 ///
 /// The architecture follows the paper's controllers: every hidden layer
@@ -95,11 +104,24 @@ impl Network {
     /// Forward evaluation.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut h = x.to_vec();
+        let mut scratch = ForwardScratch::default();
+        self.forward_into(x, &mut scratch);
+        scratch.out
+    }
+
+    /// Forward evaluation through reusable buffers: the output of
+    /// [`Network::forward`], borrowed from `scratch`. Repeated calls with one
+    /// scratch allocate nothing once its buffers have grown to the widest
+    /// layer.
+    pub fn forward_into<'s>(&self, x: &[f64], scratch: &'s mut ForwardScratch) -> &'s [f64] {
+        let ForwardScratch { out, next } = scratch;
+        out.clear();
+        out.extend_from_slice(x);
         for layer in &self.layers {
-            h = layer.forward(&h).0;
+            layer.forward_into(out, next);
+            std::mem::swap(out, next);
         }
-        h
+        out
     }
 
     /// Interval forward evaluation: a directed-rounding enclosure of the

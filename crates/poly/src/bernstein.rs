@@ -44,6 +44,22 @@ pub fn basis_polynomial(d: u32, k: u32) -> Polynomial {
     p
 }
 
+/// Coefficient of `t^(k+j)` in the Bernstein basis polynomial `B_{k,d}(t)`:
+/// `C(d,k)·C(d−k,j)·(−1)^j`, read from the lock-free Pascal table. Row `k`
+/// (`j = 0..=d−k`) is what [`approximate_from_values`] spreads a node value
+/// with.
+///
+/// # Panics
+///
+/// Panics if `k > d` or `j > d − k`.
+#[must_use]
+pub(crate) fn basis_coefficient(d: u32, k: u32, j: u32) -> f64 {
+    assert!(k <= d && j <= d - k, "basis index exceeds degree");
+    let sign = if j.is_multiple_of(2) { 1.0 } else { -1.0 };
+    // dwv-lint: allow(float-hygiene) -- exact small-integer binomial products (well under 2^53)
+    binomial(d, k) * binomial(d - k, j) * sign
+}
+
 /// The Bernstein sample nodes `(k_1/d_1, …, k_n/d_n)` of a box, in the same
 /// mixed-radix order as the coefficient tensor.
 #[must_use]
@@ -54,29 +70,25 @@ pub fn nodes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
     let mut idx = vec![0usize; degrees.len()];
     let mut out = Vec::with_capacity(total);
     for _ in 0..total {
-        let p: Vec<f64> = idx
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let iv = domain.interval(i);
-                if degrees[i] == 0 {
-                    iv.mid()
-                } else {
-                    // dwv-lint: allow(float-hygiene) -- sample-node placement; approximation error is bounded downstream
-                    iv.lo() + iv.width() * k as f64 / degrees[i] as f64
-                }
-            })
-            .collect();
-        out.push(p);
-        for d in (0..idx.len()).rev() {
-            idx[d] += 1;
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
+        let node = idx.iter().zip(domain.intervals()).zip(degrees);
+        out.push(
+            node.map(|((&k, iv), &d)| iv.grid_point(k, d as usize))
+                .collect(),
+        );
+        advance(&mut idx, &counts);
     }
     out
+}
+
+/// Steps a mixed-radix index (last digit fastest), wrapping to all zeros.
+fn advance(idx: &mut [usize], counts: &[usize]) {
+    for (d, &c) in idx.iter_mut().zip(counts).rev() {
+        *d += 1;
+        if *d < c {
+            return;
+        }
+        *d = 0;
+    }
 }
 
 /// Degree-`degrees` Bernstein approximation of `f` over `domain`, returned as
@@ -85,7 +97,8 @@ pub fn nodes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
 /// The classical operator `B_d(f)(x) = Σ_k f(node_k) Π_i B_{k_i, d_i}(t_i)`
 /// with `t = (x − lo) / width`. The approximation error is `O(ω(f, 1/√d))`
 /// (modulus of continuity); the verifier layer bounds it conservatively by
-/// dense sampling plus a Lipschitz inflation.
+/// dense sampling plus a Lipschitz inflation. `f` is called once per node,
+/// in [`nodes`] order; the fit is [`approximate_from_values`].
 ///
 /// # Panics
 ///
@@ -96,48 +109,122 @@ pub fn approximate<F>(f: F, degrees: &[u32], domain: &IntervalBox) -> Polynomial
 where
     F: Fn(&[f64]) -> f64,
 {
-    assert_eq!(degrees.len(), domain.dim(), "degree/domain length mismatch");
-    assert!(domain.is_finite(), "Bernstein domain must be bounded");
-    let n = domain.dim();
-    // Build the approximation in normalized coordinates t ∈ [0,1]^n first.
-    let mut acc = Polynomial::zero(n);
-    let counts: Vec<usize> = degrees.iter().map(|&d| d as usize + 1).collect();
-    let total: usize = counts.iter().product();
-    let mut idx = vec![0usize; n];
-    // Univariate bases per dimension, memoized process-wide.
-    let bases: Vec<_> = degrees
-        .iter()
-        .map(|&d| crate::tables::basis_polynomials(d))
-        .collect();
-    let node_list = nodes(degrees, domain);
-    for node in node_list.iter().take(total) {
-        let fv = f(node);
-        if fv != 0.0 {
-            // Tensor-product basis for this index.
-            let mut term = Polynomial::constant(n, fv);
-            for (dim, &k) in idx.iter().enumerate() {
-                // Lift the univariate basis in t_dim to n variables.
-                let uni = &bases[dim][k];
-                let mut lifted = Polynomial::zero(n);
-                for (exps, c) in uni.iter() {
-                    let mut e = vec![0u32; n];
-                    e[dim] = exps[0];
-                    lifted += Polynomial::monomial(n, e, c);
-                }
-                term = term * lifted;
-            }
-            acc += term;
+    let values: Vec<f64> = nodes(degrees, domain).iter().map(|p| f(p)).collect();
+    approximate_from_values(&values, degrees, domain)
+}
+
+/// One dimension of a [`spread`]: factor `j` lands at exponent `first + j`,
+/// offset `(first + j)·stride` in the dense tensor.
+struct SpreadDim<'a> {
+    first: usize,
+    stride: usize,
+    factors: &'a [f64],
+}
+
+/// Adds `((v·f₀)·f₁)·…` into `out[at + Σ (firstᵢ + jᵢ)·strideᵢ]` for every
+/// choice of one factor `fᵢ = factorsᵢ[jᵢ]` per dimension, `j` in
+/// lexicographic order.
+///
+/// A zero factor or a zero partial product is skipped: it is the absent
+/// term a sparse product drops, so no `0·∞` ever reaches the tensor, and
+/// every slot receives exactly the products, in exactly the order, that a
+/// term-list product of the same factors sums (zero slots stand for absent
+/// terms: `0 + c = c` for every non-zero `c`, and a sum that cancels to zero
+/// is the term a sparse merge removes).
+fn spread(out: &mut [f64], v: f64, at: usize, dims: &[SpreadDim<'_>]) {
+    let Some((dim, rest)) = dims.split_first() else {
+        // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+        out[at] += v;
+        return;
+    };
+    for (j, &f) in dim.factors.iter().enumerate() {
+        if f == 0.0 {
+            continue;
         }
-        for d in (0..n).rev() {
-            idx[d] += 1;
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
+        // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+        let p = v * f;
+        if p != 0.0 {
+            spread(out, p, at + (dim.first + j) * dim.stride, rest);
         }
     }
-    // Substitute t_i = (x_i − lo_i) / w_i to express in original coordinates.
-    let a: Vec<f64> = (0..n)
+}
+
+/// The power table of `s(y) = a + b·y` up to degree `d`, triangular: the
+/// coefficient of `y^m` in `s^e` is at `e(e+1)/2 + m`. Each power is the
+/// previous one times `s`, with the `y^m` coefficient summed from the
+/// `y^(m−1)·b` product first, then the `y^m·a` product — the order
+/// `Polynomial`'s product sums them in — and absent (zero) terms skipped.
+fn affine_powers(a: f64, b: f64, d: usize) -> Vec<f64> {
+    let mut pows = Vec::with_capacity((d + 1) * (d + 2) / 2);
+    pows.push(1.0);
+    for e in 1..=d {
+        let prev = (e - 1) * e / 2;
+        for m in 0..=e {
+            let mut c = 0.0;
+            if m > 0 && pows[prev + m - 1] != 0.0 && b != 0.0 {
+                // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                c += pows[prev + m - 1] * b;
+            }
+            if m < e && pows[prev + m] != 0.0 && a != 0.0 {
+                // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                c += pows[prev + m] * a;
+            }
+            pows.push(c);
+        }
+    }
+    pows
+}
+
+/// Degree-`degrees` Bernstein approximation over `domain` from the target
+/// function's values at the Bernstein nodes (`values[i]` at node `i` of
+/// [`nodes`]), returned in the original variables.
+///
+/// The fit is dense: each non-zero node value `f` is spread over the
+/// coefficient tensor in `t = (x − lo)/width` as `((f·c₀)·c₁)·…` with the
+/// basis rows `cᵢ` of [`basis_coefficient`], nodes in order; the affine
+/// substitution back to `x` then spreads every present coefficient over the
+/// power tables of `t = a + b·x`, coefficients in lexicographic order. These
+/// are the products and sums, in the same order, of the term-list
+/// construction (node-wise tensor products of univariate basis polynomials,
+/// then [`Polynomial::affine_substitution`]), so the result is bit-identical
+/// to it without building a polynomial per node.
+///
+/// # Panics
+///
+/// Panics if the degree vector length does not match the domain dimension,
+/// the domain is unbounded or zero-width in some dimension, or `values` does
+/// not hold one value per node.
+#[must_use]
+pub fn approximate_from_values(
+    values: &[f64],
+    degrees: &[u32],
+    domain: &IntervalBox,
+) -> Polynomial {
+    assert_eq!(degrees.len(), domain.dim(), "degree/domain length mismatch");
+    assert!(domain.is_finite(), "Bernstein domain must be bounded");
+    let counts: Vec<usize> = degrees.iter().map(|&d| d as usize + 1).collect();
+    let total: usize = counts.iter().product();
+    assert_eq!(values.len(), total, "one value per Bernstein node");
+    let stride = strides(&counts);
+    // Basis rows per dimension, row k at k·(d+1), entries j = 0..=d−k.
+    let rows: Vec<Vec<f64>> = degrees
+        .iter()
+        .map(|&d| {
+            (0..=d)
+                .flat_map(|k| {
+                    (0..=d).map(move |j| {
+                        if j <= d - k {
+                            basis_coefficient(d, k, j)
+                        } else {
+                            0.0
+                        }
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    // Substitute t_i = (x_i − lo_i) / w_i = a_i + b_i·x_i.
+    let pows: Vec<Vec<f64>> = (0..domain.dim())
         .map(|i| {
             let iv = domain.interval(i);
             assert!(
@@ -145,12 +232,47 @@ where
                 "Bernstein domain must have positive widths"
             );
             // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-            -iv.lo() / iv.width()
+            affine_powers(-iv.lo() / iv.width(), 1.0 / iv.width(), degrees[i] as usize)
         })
         .collect();
-    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-    let b: Vec<f64> = (0..n).map(|i| 1.0 / domain.interval(i).width()).collect();
-    acc.affine_substitution(&a, &b)
+    let mut dims: Vec<SpreadDim<'_>> = Vec::with_capacity(counts.len());
+    let mut fit = vec![0.0f64; total];
+    let mut idx = vec![0usize; counts.len()];
+    for &fv in values {
+        if fv != 0.0 {
+            dims.clear();
+            dims.extend(idx.iter().enumerate().map(|(i, &k)| {
+                let width = counts[i];
+                SpreadDim {
+                    first: k,
+                    stride: stride[i],
+                    factors: &rows[i][k * width..k * width + width - k],
+                }
+            }));
+            spread(&mut fit, fv, 0, &dims);
+        }
+        advance(&mut idx, &counts);
+    }
+    let mut out = vec![0.0f64; total];
+    // `idx` has wrapped back to zeros; it now walks the exponents of `fit`.
+    for &c in &fit {
+        if c != 0.0 {
+            dims.clear();
+            for (i, &e) in idx.iter().enumerate() {
+                if e > 0 {
+                    let row = e * (e + 1) / 2;
+                    dims.push(SpreadDim {
+                        first: 0,
+                        stride: stride[i],
+                        factors: &pows[i][row..=row + e],
+                    });
+                }
+            }
+            spread(&mut out, c, 0, &dims);
+        }
+        advance(&mut idx, &counts);
+    }
+    Polynomial::from_dense(&counts, &out)
 }
 
 /// Bernstein-form range enclosure of a polynomial over a box.
@@ -430,6 +552,25 @@ mod tests {
                 .fold(Polynomial::zero(1), |acc, p| acc + p);
             for t in [0.0, 0.3, 0.5, 1.0] {
                 assert!((sum.eval(&[t]) - 1.0).abs() < 1e-10);
+            }
+        }
+    }
+
+    #[test]
+    fn basis_coefficients_match_basis_polynomial() {
+        // Row k of the dense fit is B_{k,d} in the power basis, bit for bit.
+        for d in 0..=8u32 {
+            for k in 0..=d {
+                let p = basis_polynomial(d, k);
+                assert_eq!(p.num_terms() as u32, d - k + 1, "B_{{{k},{d}}} term count");
+                for j in 0..=(d - k) {
+                    assert_eq!(
+                        basis_coefficient(d, k, j).to_bits(),
+                        p.coefficient(&[k + j]).to_bits(),
+                        "B_{{{k},{d}}} coefficient of t^{}",
+                        k + j
+                    );
+                }
             }
         }
     }

@@ -330,6 +330,46 @@ impl Polynomial {
         )
     }
 
+    /// Builds a polynomial from a dense coefficient tensor: with
+    /// `counts[i]` exponents `0..counts[i]` for variable `i`, variable 0
+    /// slowest, `coeffs[Σ eᵢ·strideᵢ]` is the coefficient of `x^e`. Zero
+    /// entries are absent terms; row-major order is lexicographic monomial
+    /// order, so the terms are pushed already sorted.
+    pub(crate) fn from_dense(counts: &[usize], coeffs: &[f64]) -> Self {
+        let nvars = counts.len();
+        let packable = nvars <= PACK_VARS && counts.iter().all(|&c| c <= PACK_MAX_EXP as usize + 1);
+        let mut packed = PackedTerms::default();
+        let mut boxed = Vec::new();
+        let mut exps = vec![0u32; nvars];
+        for &c in coeffs {
+            if c != 0.0 {
+                if packable {
+                    let key = exps
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |k, (i, &e)| k | u64::from(e) << key_shift(i));
+                    packed.push(key, c);
+                } else {
+                    boxed.push((exps.clone().into_boxed_slice(), c));
+                }
+            }
+            // Next exponent vector in row-major order.
+            for (e, &count) in exps.iter_mut().zip(counts).rev() {
+                *e += 1;
+                if (*e as usize) < count {
+                    break;
+                }
+                *e = 0;
+            }
+        }
+        let repr = if packable {
+            Repr::Packed(packed)
+        } else {
+            Repr::Boxed(boxed)
+        };
+        Self { nvars, repr }
+    }
+
     /// Normalizes unsorted packed pairs: stable key sort, sum duplicates in
     /// generation order, drop zeros — the same duplicate-summation order the
     /// index-sorted kernel staging produces.

@@ -8,7 +8,6 @@
 //! ([`bernstein_ratios`]) so repeated enclosures of same-degree polynomials
 //! — the common case inside a flowpipe loop — reuse one allocation.
 
-use crate::Polynomial;
 // dwv-lint: allow-file(determinism) -- degree-keyed lookup-only memo tables; iteration order is never observed
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -84,31 +83,6 @@ pub fn bernstein_ratios(d: u32) -> Arc<Vec<Vec<f64>>> {
     }))
 }
 
-/// The full degree-`d` univariate Bernstein basis `[B_{0,d}, …, B_{d,d}]`
-/// expanded in the power basis, cached per degree for the lifetime of the
-/// process.
-///
-/// [`crate::bernstein::approximate`] previously re-expanded every basis
-/// polynomial per call; a Bernstein NN abstraction re-fits the same degrees
-/// for every output and every verification sweep cell, so the expansion is
-/// pure recomputation.
-#[must_use]
-pub fn basis_polynomials(d: u32) -> Arc<Vec<Polynomial>> {
-    static CACHE: OnceLock<Mutex<HashMap<u32, Arc<Vec<Polynomial>>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    // Poison recovery is sound: entries are inserted fully constructed.
-    let mut guard = cache
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    Arc::clone(guard.entry(d).or_insert_with(|| {
-        Arc::new(
-            (0..=d)
-                .map(|k| crate::bernstein::basis_polynomial(d, k))
-                .collect(),
-        )
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,20 +112,6 @@ mod tests {
         // C(70, 1) = 70 via the multiplicative path.
         assert_eq!(binomial(70, 1), 70.0);
         assert_eq!(binomial(70, 0), 1.0);
-    }
-
-    #[test]
-    fn basis_polynomials_match_uncached_expansion() {
-        let bases = basis_polynomials(3);
-        assert_eq!(bases.len(), 4);
-        for (k, b) in bases.iter().enumerate() {
-            let fresh = crate::bernstein::basis_polynomial(3, k as u32);
-            for t in [0.0, 0.25, 0.5, 1.0] {
-                assert_eq!(b.eval(&[t]), fresh.eval(&[t]));
-            }
-        }
-        // Cached: second call returns the same allocation.
-        assert!(Arc::ptr_eq(&bases, &basis_polynomials(3)));
     }
 
     #[test]

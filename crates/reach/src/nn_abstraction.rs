@@ -18,7 +18,7 @@
 use crate::error::ReachError;
 use dwv_dynamics::NnController;
 use dwv_interval::{Interval, IntervalBox};
-use dwv_nn::Activation;
+use dwv_nn::{Activation, ForwardScratch};
 use dwv_poly::Polynomial;
 use dwv_taylor::{TaylorModel, TmVector, TmWorkspace};
 
@@ -290,7 +290,9 @@ impl NnAbstraction for TaylorAbstraction {
 /// polynomial of per-dimension degree [`BernsteinAbstraction::degree`] on the
 /// state box; the remainder is estimated on a dense grid and inflated by a
 /// Lipschitz term `(L_f + L_g)·h/2` covering the inter-sample gaps, following
-/// ReachNN's sampling-based error analysis.
+/// ReachNN's sampling-based error analysis. A spec needing more than 256
+/// nodes (`(degree + 1)ⁿ`) or outside 1–65 536 samples (`samples_per_dimⁿ`)
+/// is refused with [`ReachError::Unsupported`].
 #[derive(Debug, Clone, Copy)]
 pub struct BernsteinAbstraction {
     /// Bernstein degree per state dimension.
@@ -324,6 +326,103 @@ impl BernsteinAbstraction {
     }
 }
 
+/// Most Bernstein nodes, `(degree + 1)ⁿ`, one fit may use. Since
+/// `(d + 1)ⁿ ≥ 1 + n·d`, every fit within the cap has total degree at most
+/// [`dwv_poly::PACK_MAX_EXP`]. The ReachNN settings in use need 9 (degree 2
+/// on Van der Pol) to 64 (the default degree 3 in 3-D).
+const MAX_FIT_NODES: usize = 256;
+
+/// Most remainder samples, `samples_per_dimⁿ`, one abstraction may take
+/// (the default 9 per dimension takes 729 in 3-D).
+const MAX_SAMPLES: usize = 1 << 16;
+
+/// `per_dimⁿ` when it fits within `cap`.
+fn grid_count(per_dim: usize, n: usize, cap: usize) -> Option<usize> {
+    u32::try_from(n)
+        .ok()
+        .and_then(|n| per_dim.checked_pow(n))
+        .filter(|&c| c <= cap)
+}
+
+/// Steps a mixed-radix grid index (last digit fastest), wrapping to zeros,
+/// and returns the first digit that changed.
+fn advance(idx: &mut [usize], per_dim: usize) -> usize {
+    for (at, d) in idx.iter_mut().enumerate().rev() {
+        *d += 1;
+        if *d < per_dim {
+            return at;
+        }
+        *d = 0;
+    }
+    0
+}
+
+/// The network on a unit grid walked by index: the forward pass at
+/// `x = c + r·y` for `y = (coords[idx₀], coords[idx₁], …)`, through reused
+/// buffers.
+struct GridForward<'a> {
+    net: &'a dwv_nn::Network,
+    centers: &'a [f64],
+    radii: &'a [f64],
+    x: Vec<f64>,
+    scratch: ForwardScratch,
+}
+
+impl GridForward<'_> {
+    fn eval(&mut self, coords: &[f64], idx: &[usize]) -> &[f64] {
+        let points = self.centers.iter().zip(self.radii).zip(idx);
+        for (xi, ((&c, &r), &k)) in self.x.iter_mut().zip(points) {
+            *xi = c + r * coords[k]; // dwv-lint: allow(panic-freedom#index) -- grid indices range over coords
+        }
+        self.net.forward_into(&self.x, &mut self.scratch)
+    }
+}
+
+/// One fitted polynomial's terms, laid out for evaluation along a grid walk.
+/// A term's value is `((c·p₀)·p₁)·…` over the variables that occur, `pᵢ`
+/// the power of sample coordinate `i` — the products `Polynomial::eval`
+/// takes — and each term keeps its running products, so a step that moves
+/// only the trailing coordinates redoes only their multiplications.
+struct GridTerms {
+    /// `n + 1` cells per term, in storage order: `(0, c)`, then for each
+    /// variable `i` its exponent and the running product after it.
+    cells: Vec<(usize, f64)>,
+    width: usize,
+}
+
+impl GridTerms {
+    fn new(g: &Polynomial) -> Self {
+        let width = g.nvars() + 1;
+        let mut cells = Vec::with_capacity(g.num_terms() * width);
+        for (exps, c) in g.iter() {
+            cells.push((0, c));
+            cells.extend(exps.iter().map(|&e| (e as usize, c)));
+        }
+        Self { cells, width }
+    }
+
+    /// The polynomial at the sample whose coordinate-`i` powers start at
+    /// `powers[bases[i]]`, the terms summed in order as `Polynomial::eval`
+    /// sums them. Running products are recomputed from variable `from` on;
+    /// the coordinates before it must not have moved since the last call.
+    fn value(&mut self, from: usize, bases: &[usize], powers: &[f64]) -> f64 {
+        self.cells
+            .chunks_exact_mut(self.width)
+            .map(|row| {
+                let mut m = row.get(from).map_or(0.0, |&(_, p)| p);
+                let cells = row.iter_mut().skip(from + 1);
+                for ((e, p), &base) in cells.zip(bases.iter().skip(from)) {
+                    if *e > 0 {
+                        m *= powers[base + *e]; // dwv-lint: allow(panic-freedom#index) -- bases index sample coordinates, e <= degree
+                    }
+                    *p = m;
+                }
+                m
+            })
+            .sum()
+    }
+}
+
 impl NnAbstraction for BernsteinAbstraction {
     fn name(&self) -> &str {
         "bernstein"
@@ -343,10 +442,26 @@ impl NnAbstraction for BernsteinAbstraction {
                 state.dim()
             )));
         }
+        let n = state.dim();
+        let per_dim = (self.degree as usize).saturating_add(1);
+        let Some(n_nodes) = grid_count(per_dim, n, MAX_FIT_NODES) else {
+            return Err(ReachError::Unsupported(format!(
+                "a degree-{} Bernstein fit in {n} dimensions needs more than {MAX_FIT_NODES} nodes",
+                self.degree
+            )));
+        };
+        let samples = self.samples_per_dim;
+        let n_samples = match grid_count(samples, n, MAX_SAMPLES) {
+            Some(c) if samples > 0 => c,
+            _ => {
+                return Err(ReachError::Unsupported(format!(
+                    "{samples} remainder samples per dimension in {n} dimensions is outside 1..={MAX_SAMPLES} samples"
+                )))
+            }
+        };
         let bx = state.range_box(domain);
         // Guard against degenerate boxes (Bernstein needs positive widths).
         let bx = ensure_positive_widths(&bx);
-        let n = bx.dim();
         let scale = controller.output_scale();
         // Fit in *normalized* coordinates y = (x − c)/r ∈ [−1, 1]ⁿ: fitting
         // in original coordinates over a tiny reach box produces power-basis
@@ -354,13 +469,8 @@ impl NnAbstraction for BernsteinAbstraction {
         // destroys all precision.
         let centers: Vec<f64> = bx.center();
         let radii: Vec<f64> = bx.radii();
-        let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
-        let denorm = |y: &[f64]| -> Vec<f64> {
-            y.iter()
-                .enumerate()
-                .map(|(i, &v)| centers[i] + radii[i] * v) // dwv-lint: allow(panic-freedom#index) -- i enumerates the state dimension
-                .collect()
-        };
+        let side = Interval::new(-1.0, 1.0);
+        let unit = IntervalBox::new(vec![side; n]);
         // Normalized state models y_i = (x_i − c_i)/r_i over the original
         // variables: the composition arguments.
         let y_models: Vec<TaylorModel> = state
@@ -369,38 +479,97 @@ impl NnAbstraction for BernsteinAbstraction {
             .enumerate()
             .map(|(i, x)| x.add_constant(-centers[i]).scale(1.0 / radii[i])) // dwv-lint: allow(panic-freedom#index) -- i enumerates the state dimension
             .collect();
-        let lip_f = local_lipschitz_bound(net, &bx)
+        let lip_f = local_lipschitz_bound(net, &bx, &mut LipschitzScratch::default())
             * scale.abs()
             * radii.iter().fold(0.0f64, |m, &r| m.max(r));
-        let mut out = Vec::with_capacity(net.out_dim());
-        for o in 0..net.out_dim() {
-            let f = |y: &[f64]| net.forward(&denorm(y))[o] * scale; // dwv-lint: allow(panic-freedom#index) -- o ranges over net.out_dim()
-            let g = dwv_poly::bernstein::approximate(f, &vec![self.degree; n], &unit);
-            // Sampled remainder + Lipschitz inflation over grid gaps.
-            let mut eps = 0.0f64;
-            let mut samples_finite = true;
-            for p in unit.grid(self.samples_per_dim) {
-                let gap = (f(&p) - g.eval(&p)).abs();
-                samples_finite &= gap.is_finite();
-                eps = eps.max(gap);
+        let mut net_at = GridForward {
+            net,
+            centers: &centers,
+            radii: &radii,
+            x: vec![0.0; n],
+            scratch: ForwardScratch::default(),
+        };
+        let out_dim = net.out_dim();
+        let mut idx = vec![0usize; n];
+        // Scaled node values per output, in node order.
+        let node_coords: Vec<f64> = (0..per_dim)
+            .map(|k| side.grid_point(k, self.degree as usize))
+            .collect();
+        let mut values: Vec<Vec<f64>> = (0..out_dim).map(|_| Vec::with_capacity(n_nodes)).collect();
+        for _ in 0..n_nodes {
+            for (vals, &v) in values.iter_mut().zip(net_at.eval(&node_coords, &idx)) {
+                vals.push(v * scale);
             }
-            let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
+            advance(&mut idx, per_dim);
+        }
+        let degrees = vec![self.degree; n];
+        let fits: Vec<Polynomial> = values
+            .iter()
+            .map(|v| dwv_poly::bernstein::approximate_from_values(v, &degrees, &unit))
+            .collect();
+        // Sampled remainder |f − g| on the unit grid, g evaluated term by
+        // term from per-coordinate power tables (powers[k·per_dim + e] is
+        // grid[k]^e).
+        let grid: Vec<f64> = (0..samples)
+            .map(|k| side.grid_point(k, samples - 1))
+            .collect();
+        let powers: Vec<f64> = grid
+            .iter()
+            .flat_map(|&y| (0..per_dim).map(move |e| y.powi(e as i32)))
+            .collect();
+        let mut terms: Vec<GridTerms> = fits.iter().map(GridTerms::new).collect();
+        let mut bases = vec![0usize; n];
+        let mut eps = vec![0.0f64; out_dim];
+        let mut samples_finite = vec![true; out_dim];
+        let mut from = 0;
+        for _ in 0..n_samples {
+            let y = net_at.eval(&grid, &idx);
+            for (base, &k) in bases.iter_mut().zip(&idx).skip(from) {
+                *base = k * per_dim;
+            }
+            let per_output = terms
+                .iter_mut()
+                .zip(eps.iter_mut().zip(&mut samples_finite));
+            for (&fo, (g, (eps, finite))) in y.iter().zip(per_output) {
+                let gap = (fo * scale - g.value(from, &bases, &powers)).abs();
+                *finite &= gap.is_finite();
+                *eps = eps.max(gap);
+            }
+            from = advance(&mut idx, samples);
+        }
+        let grid_h = 2.0 / (samples.max(2) - 1) as f64;
+        let mut out = Vec::with_capacity(out_dim);
+        for ((o, g), (eps, finite)) in fits
+            .into_iter()
+            .enumerate()
+            .zip(eps.into_iter().zip(samples_finite))
+        {
+            // Lipschitz inflation over grid gaps.
             let lip_g = gradient_bound(&g, &unit);
-            eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
+            let eps = eps + 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
             // Huge weights or scales overflow the network's outputs: a fit
             // with a non-finite sample gap, coefficient or error bound
             // encloses nothing.
-            if !(samples_finite && eps.is_finite() && g.is_finite()) {
+            if !(finite && eps.is_finite() && g.is_finite()) {
                 return Err(ReachError::Unsupported(format!(
                     "the Bernstein fit of network output {o} is not finite"
                 )));
             }
             let g_tm = TaylorModel::new(g, Interval::symmetric(eps));
-            let composed = g_tm.compose(&y_models, self.compose_order, domain);
-            out.push(composed);
+            out.push(g_tm.compose(&y_models, self.compose_order, domain));
         }
         Ok(TmVector::new(out))
     }
+}
+
+/// Interval buffers for [`local_lipschitz_bound`]: the running Jacobian and
+/// unit ranges, and their next-layer counterparts.
+#[derive(Default)]
+struct LipschitzScratch {
+    jac: Vec<Interval>,
+    next_jac: Vec<Interval>,
+    h: Vec<Interval>,
+    next_h: Vec<Interval>,
 }
 
 /// A bound on the network's local Lipschitz constant over a box, via an
@@ -408,27 +577,37 @@ impl NnAbstraction for BernsteinAbstraction {
 /// layers with interval matrix products. Far tighter than the global
 /// product-of-norms bound on small boxes (ReLU units that are provably
 /// inactive contribute zero), which is what makes the sampled Bernstein
-/// remainder usable on the 3-D benchmark.
-fn local_lipschitz_bound(net: &dwv_nn::Network, bx: &IntervalBox) -> f64 {
+/// remainder usable on the 3-D benchmark. Allocates nothing once `scratch`
+/// has grown to the widest layer.
+fn local_lipschitz_bound(
+    net: &dwv_nn::Network,
+    bx: &IntervalBox,
+    scratch: &mut LipschitzScratch,
+) -> f64 {
     let n = bx.dim();
-    // Running interval Jacobian (rows: current layer units, cols: inputs).
-    let mut jac: Vec<Vec<Interval>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    if i == j {
-                        Interval::ONE
-                    } else {
-                        Interval::ZERO
-                    }
-                })
-                .collect()
+    let LipschitzScratch {
+        jac,
+        next_jac,
+        h,
+        next_h,
+    } = scratch;
+    // Running interval Jacobian, row-major (rows: current layer units,
+    // cols: inputs).
+    jac.clear();
+    jac.extend((0..n).flat_map(|i| {
+        (0..n).map(move |j| {
+            if i == j {
+                Interval::ONE
+            } else {
+                Interval::ZERO
+            }
         })
-        .collect();
-    let mut h: Vec<Interval> = bx.intervals().to_vec();
+    }));
+    h.clear();
+    h.extend_from_slice(bx.intervals());
     for layer in net.layers() {
-        let mut new_jac = Vec::with_capacity(layer.out_dim());
-        let mut new_h = Vec::with_capacity(layer.out_dim());
+        next_jac.clear();
+        next_h.clear();
         for o in 0..layer.out_dim() {
             // Pre-activation range z_o = Σ w h + b.
             let mut z = Interval::point(layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
@@ -436,22 +615,19 @@ fn local_lipschitz_bound(net: &dwv_nn::Network, bx: &IntervalBox) -> f64 {
                 z += *hk * layer.weight(o, k);
             }
             let dz = activation_derivative_range(layer.activation(), z);
-            let row: Vec<Interval> = (0..n)
-                .map(|i| {
-                    let mut acc = Interval::ZERO;
-                    for (k, jrow) in jac.iter().enumerate() {
-                        acc += jrow[i] * layer.weight(o, k); // dwv-lint: allow(panic-freedom#index) -- Jacobian rows are n-wide by construction
-                    }
-                    acc * dz
-                })
-                .collect();
-            new_jac.push(row);
-            new_h.push(activation_range(layer.activation(), z));
+            for i in 0..n {
+                let mut acc = Interval::ZERO;
+                for (k, jrow) in jac.chunks_exact(n).enumerate() {
+                    acc += jrow[i] * layer.weight(o, k); // dwv-lint: allow(panic-freedom#index) -- Jacobian rows are n-wide by construction
+                }
+                next_jac.push(acc * dz);
+            }
+            next_h.push(activation_range(layer.activation(), z));
         }
-        jac = new_jac;
-        h = new_h;
+        std::mem::swap(jac, next_jac);
+        std::mem::swap(h, next_h);
     }
-    jac.iter()
+    jac.chunks(n.max(1))
         .map(|row| row.iter().map(|iv| iv.mag().powi(2)).sum::<f64>().sqrt())
         .fold(0.0, f64::max)
 }
@@ -528,7 +704,7 @@ fn ensure_positive_widths(b: &IntervalBox) -> IntervalBox {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dwv_nn::Network;
     use dwv_taylor::unit_domain;
@@ -628,6 +804,76 @@ mod tests {
         let state = TmVector::from_box(&IntervalBox::from_bounds(&[(0.0, 1.0)]));
         let res = TaylorAbstraction::default().abstract_network(&ctrl, &state, &unit_domain(1));
         assert!(matches!(res, Err(ReachError::Unsupported(_))));
+    }
+
+    /// Named specs whose 2-D node or sample count is zero, overflows
+    /// `usize` or exceeds its cap.
+    pub(crate) fn oversized_specs() -> Vec<(&'static str, BernsteinAbstraction)> {
+        let base = BernsteinAbstraction::default();
+        vec![
+            (
+                "zero samples",
+                BernsteinAbstraction {
+                    samples_per_dim: 0,
+                    ..base
+                },
+            ),
+            (
+                "node count overflows",
+                BernsteinAbstraction {
+                    degree: u32::MAX,
+                    ..base
+                },
+            ),
+            (
+                "sample count overflows",
+                BernsteinAbstraction {
+                    samples_per_dim: usize::MAX,
+                    ..base
+                },
+            ),
+            (
+                "nodes over the cap",
+                BernsteinAbstraction { degree: 16, ..base },
+            ),
+            (
+                "samples over the cap",
+                BernsteinAbstraction {
+                    samples_per_dim: 257,
+                    ..base
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn oversized_or_degenerate_bernstein_specs_are_unsupported() {
+        // 2-D: 17² = 289 nodes and 257² = 66049 samples exceed the caps;
+        // (2³²)² and usize::MAX² overflow.
+        let ctrl = small_net(5);
+        let state = TmVector::from_box(&IntervalBox::from_bounds(&[(0.1, 0.2), (0.3, 0.4)]));
+        for (name, abs) in oversized_specs() {
+            let res = abs.abstract_network(&ctrl, &state, &unit_domain(2));
+            assert!(
+                matches!(res, Err(ReachError::Unsupported(_))),
+                "{name}: {res:?}"
+            );
+        }
+        // Right at the caps the abstraction still runs: 16² nodes, 256²
+        // samples.
+        let base = BernsteinAbstraction::default();
+        for at_cap in [
+            BernsteinAbstraction { degree: 15, ..base },
+            BernsteinAbstraction {
+                degree: 1,
+                samples_per_dim: 256,
+                ..base
+            },
+        ] {
+            assert!(at_cap
+                .abstract_network(&ctrl, &state, &unit_domain(2))
+                .is_ok());
+        }
     }
 
     #[test]

@@ -194,9 +194,11 @@ impl<A: NnAbstraction> TaylorReach<A> {
                     let b = self.range_box_ws(&state, &domain, &mut ws);
                     state = TmVector::from_box(&b);
                 }
-                let u = self
-                    .abstraction
-                    .abstract_network_ws(controller, &state, &domain, &mut ws)?;
+                let u = {
+                    let _abstract = dwv_obs::span("reach.abstract");
+                    self.abstraction
+                        .abstract_network_ws(controller, &state, &domain, &mut ws)?
+                };
                 if !u.is_finite() {
                     return Err(overflowed(k));
                 }
@@ -501,6 +503,19 @@ mod tests {
                 NnController::with_output_scale(huge, 1e300),
             ),
         ]
+    }
+
+    #[test]
+    fn oversized_bernstein_specs_end_in_a_typed_error() {
+        let p = oscillator::reach_avoid_problem();
+        let ctrl = osc_controller(24);
+        for (name, abs) in crate::nn_abstraction::tests::oversized_specs() {
+            let r = TaylorReach::new(&p, abs, TaylorReachConfig::default()).reach(&ctrl);
+            assert!(
+                matches!(r, Err(ReachError::Unsupported(_))),
+                "{name}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -98,6 +98,10 @@ if [[ "${1:-}" == "--all" ]]; then
   # golden values recorded when every repeat still ran the verifier.
   run cargo test -q --release --offline -p dwv-core --test algorithm1_reuse
   run cargo test -q --release --offline -p dwv-core --lib -- verdict counterexample
+  # ReachNN abstraction gate: the dense Bernstein fit, index-walked sample
+  # grids and buffered forward passes against the term-list construction
+  # they replaced (output models and errors, bit for bit).
+  run cargo test -q --release --offline -p dwv-reach --test bernstein_reference
   # Serving gate: the verification-as-a-service layer. Crate tests (frame
   # codec fuzz/property suite + server integration), the golden
   # serve-vs-batch parity suite over real TCP (ACC/Van-der-Pol/3D repro
