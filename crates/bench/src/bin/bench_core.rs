@@ -523,15 +523,14 @@ fn portfolio_bill() -> PortfolioBill {
             .portfolio(mode)
             .build()
     };
-    let tiered = dwv_core::design_while_verify_linear(
-        acc::reach_avoid_problem(),
-        cfg(PortfolioMode::Surrogate { confirm_every: 5 }),
-    )
-    .expect("affine problem");
+    let surrogate = PortfolioMode::Surrogate { confirm_every: 5 };
+    let tiered = dwv_core::design_while_verify_linear(acc::reach_avoid_problem(), cfg(surrogate))
+        .expect("affine problem");
     let baseline =
         dwv_core::design_while_verify_linear(acc::reach_avoid_problem(), cfg(PortfolioMode::Off))
             .expect("affine problem");
-    let tiers = Algorithm1::new(acc::reach_avoid_problem(), cfg(PortfolioMode::Off))
+    // The labels of the tiered run's bill: an `Off` portfolio has one tier.
+    let tiers = Algorithm1::new(acc::reach_avoid_problem(), cfg(surrogate))
         .linear_portfolio()
         .expect("affine problem")
         .tier_names();

@@ -32,7 +32,7 @@ use dwv_metrics::{GeometricMetric, WassersteinMetric};
 use dwv_nn::{Activation, Network};
 use dwv_reach::{
     BernsteinAbstraction, Flowpipe, IntervalReach, LinearReach, PortfolioStats, PortfolioVerifier,
-    ReachError, TaylorAbstraction, TaylorReach, ZonotopeReach,
+    ReachError, TaylorAbstraction, TaylorReach, Verifier, ZonotopeReach,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,9 +78,10 @@ pub struct LearnOutcome<C> {
     pub trace: LearningTrace,
     /// The final flowpipe, when the last verification succeeded.
     pub flowpipe: Option<Flowpipe>,
-    /// Per-tier verifier-call accounting when the run used the tiered
-    /// portfolio ([`crate::PortfolioMode::Surrogate`]); `None` in the
-    /// single-backend baseline.
+    /// Per-tier verifier-call accounting when the run had cheap tiers
+    /// ([`crate::PortfolioMode::Surrogate`]); `None` in
+    /// [`crate::PortfolioMode::Off`], whose one-tier portfolio bills every
+    /// query to the rigorous tier (the trace's `verifier_calls`).
     pub portfolio: Option<PortfolioStats>,
 }
 
@@ -121,6 +122,16 @@ fn same_bits(bits: &[u64], params: &[f64]) -> bool {
 /// flowpipe diverged.
 const FAIL_PENALTY: f64 = 1e3;
 
+/// Runs one oracle query of the learner inside a `verify` span, counted by
+/// `alg1.verifier_calls`.
+fn billed(query: impl FnOnce() -> Result<Flowpipe, ReachError>) -> Result<Flowpipe, ReachError> {
+    let _s = dwv_obs::span("verify");
+    if dwv_obs::enabled() {
+        dwv_obs::counter("alg1.verifier_calls").inc();
+    }
+    query()
+}
+
 /// Algorithm 1 of the paper: approximated gradient descent over controller
 /// parameters with the verifier in the loop.
 ///
@@ -145,7 +156,6 @@ pub struct Algorithm1 {
     config: LearnConfig,
     goal_anchor: Vec<f64>,
     safety_cap: f64,
-    pool: Option<crate::parallel::WorkerPool>,
 }
 
 impl Algorithm1 {
@@ -166,21 +176,7 @@ impl Algorithm1 {
             config,
             goal_anchor,
             safety_cap,
-            pool: None,
         }
-    }
-
-    /// Fans the independent gradient-probe verifier calls of each iteration
-    /// out on a worker pool.
-    ///
-    /// The learning trajectory is **bit-identical** to the serial learner:
-    /// probe objectives are merged back in probe order and combined with the
-    /// exact same floating-point operation order, so only wall-clock time
-    /// changes.
-    #[must_use]
-    pub fn with_pool(mut self, pool: crate::parallel::WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// The problem being solved.
@@ -231,39 +227,32 @@ impl Algorithm1 {
         let mut fresh = |rng: &mut StdRng| {
             LinearController::new(n, m, (0..n * m).map(|_| rng.gen_range(-2.0..2.0)).collect())
         };
-        match self.config.portfolio {
-            PortfolioMode::Off => {
-                let verifier =
-                    LinearReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-                Ok(self.learn_with_restarts(
-                    init,
-                    &|c: &LinearController| verifier.reach(c),
-                    &mut fresh,
-                ))
-            }
-            PortfolioMode::Surrogate { confirm_every } => {
-                let portfolio = self.linear_portfolio()?;
-                Ok(self.learn_surrogate(init, &portfolio, confirm_every, &mut fresh))
-            }
-        }
+        let portfolio = self.linear_portfolio()?;
+        Ok(self.learn_on_portfolio(init, &portfolio, &mut fresh))
     }
 
-    /// Builds the tiered verifier portfolio for affine problems: interval
-    /// fast-path, zonotope escalation, exact linear recursion as the
-    /// rigorous authority.
+    /// Builds the verifier portfolio for affine problems: the exact linear
+    /// recursion is the rigorous authority, and
+    /// [`PortfolioMode::Surrogate`] adds an interval fast-path and a
+    /// zonotope escalation in front of it ([`PortfolioMode::Off`] adds
+    /// nothing).
     ///
     /// # Errors
     ///
     /// [`LearnError::Unsupported`] when the dynamics are not affine.
     pub fn linear_portfolio(&self) -> Result<PortfolioVerifier<LinearController>, LearnError> {
         let rigorous = LinearReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-        let zonotope =
-            ZonotopeReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-        Ok(
-            PortfolioVerifier::new(Box::new(rigorous), self.config.portfolio_slack)
-                .with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
-                .with_tier(Box::new(zonotope)),
-        )
+        let portfolio = PortfolioVerifier::new(Box::new(rigorous), self.config.portfolio_slack);
+        Ok(match self.config.portfolio {
+            PortfolioMode::Off => portfolio,
+            PortfolioMode::Surrogate { .. } => {
+                let zonotope =
+                    ZonotopeReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
+                portfolio
+                    .with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
+                    .with_tier(Box::new(zonotope))
+            }
+        })
     }
 
     /// Learns a neural-network controller (hidden sizes, output scale and
@@ -291,36 +280,16 @@ impl Algorithm1 {
                 scale,
             )
         };
-        match (self.config.portfolio, self.config.abstraction) {
-            (PortfolioMode::Off, AbstractionKind::Polar { order }) => {
-                let verifier = TaylorReach::new(
-                    &self.problem,
-                    TaylorAbstraction::with_order(order),
-                    self.config.verifier.clone(),
-                );
-                self.learn_with_restarts(init, &|c: &NnController| verifier.reach(c), &mut fresh)
-            }
-            (PortfolioMode::Off, AbstractionKind::Bernstein { degree }) => {
-                let verifier = TaylorReach::new(
-                    &self.problem,
-                    BernsteinAbstraction::with_degree(degree),
-                    self.config.verifier.clone(),
-                );
-                self.learn_with_restarts(init, &|c: &NnController| verifier.reach(c), &mut fresh)
-            }
-            (PortfolioMode::Surrogate { confirm_every }, _) => {
-                let portfolio = self.nn_portfolio();
-                self.learn_surrogate(init, &portfolio, confirm_every, &mut fresh)
-            }
-        }
+        self.learn_on_portfolio(init, &self.nn_portfolio(), &mut fresh)
     }
 
-    /// Builds the tiered verifier portfolio for neural controllers: interval
-    /// fast-path with the Taylor-model backend (configured abstraction) as
-    /// the rigorous authority.
+    /// Builds the verifier portfolio for neural controllers: the
+    /// Taylor-model backend (configured abstraction) is the rigorous
+    /// authority, and [`PortfolioMode::Surrogate`] adds an interval
+    /// fast-path in front of it ([`PortfolioMode::Off`] adds nothing).
     #[must_use]
     pub fn nn_portfolio(&self) -> PortfolioVerifier<NnController> {
-        let rigorous: Box<dyn dwv_reach::Verifier<NnController>> = match self.config.abstraction {
+        let rigorous: Box<dyn Verifier<NnController>> = match self.config.abstraction {
             AbstractionKind::Polar { order } => Box::new(TaylorReach::new(
                 &self.problem,
                 TaylorAbstraction::with_order(order),
@@ -332,23 +301,34 @@ impl Algorithm1 {
                 self.config.verifier.clone(),
             )),
         };
-        PortfolioVerifier::new(rigorous, self.config.portfolio_slack)
-            .with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
+        let portfolio = PortfolioVerifier::new(rigorous, self.config.portfolio_slack);
+        match self.config.portfolio {
+            PortfolioMode::Off => portfolio,
+            PortfolioMode::Surrogate { .. } => {
+                portfolio.with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
+            }
+        }
     }
 
-    /// The surrogate-mode learning loop: exploratory queries ride the cheap
-    /// portfolio tiers, rigorous calls are reserved for confirmation and
-    /// acceptance.
-    fn learn_surrogate<C>(
+    /// The learning loop on a portfolio: exploratory queries ride its cheap
+    /// tiers, rigorous calls are reserved for confirmation and acceptance.
+    ///
+    /// A portfolio without cheap tiers ([`PortfolioMode::Off`]) answers
+    /// every probe on the rigorous tier, so one oracle plays both roles and
+    /// no confirmation step runs (`confirm_every == 0`).
+    fn learn_on_portfolio<C>(
         &self,
         init: Option<C>,
         portfolio: &PortfolioVerifier<C>,
-        confirm_every: usize,
         fresh: &mut dyn FnMut(&mut StdRng) -> C,
     ) -> LearnOutcome<C>
     where
-        C: Controller + Clone + Sync,
+        C: Controller + Clone,
     {
+        let confirm_every = match self.config.portfolio {
+            PortfolioMode::Off => 0,
+            PortfolioMode::Surrogate { confirm_every } => confirm_every.max(1),
+        };
         // Probe trustworthiness margin: a cheap enclosure whose unsafe
         // clearance covers the slack is tight enough to rank candidates; a
         // near-boundary or unsafe-overlapping cheap box may be an artifact
@@ -357,31 +337,19 @@ impl Algorithm1 {
         // certify).
         let metric = GeometricMetric::for_problem(&self.problem);
         let margin = move |fp: &Flowpipe| metric.evaluate(fp).d_unsafe;
-        let probe = |c: &C| -> Result<Flowpipe, ReachError> {
-            let _s = dwv_obs::span("verify");
-            if dwv_obs::enabled() {
-                dwv_obs::counter("alg1.verifier_calls").inc();
-            }
-            portfolio.reach_probe(c, dwv_reach::hash_params(&c.params()), &margin)
+        let probe = |c: &C| {
+            billed(|| portfolio.reach_probe(c, dwv_reach::hash_params(&c.params()), &margin))
         };
-        let rigor = |c: &C| -> Result<Flowpipe, ReachError> {
-            let _s = dwv_obs::span("verify");
-            if dwv_obs::enabled() {
-                dwv_obs::counter("alg1.verifier_calls").inc();
-            }
-            portfolio.reach_rigorous(c, dwv_reach::hash_params(&c.params()))
-        };
-        // Per-iteration tier bills for the trace CSV: the loop diffs this
-        // snapshot around every iteration it records.
+        let rigor =
+            |c: &C| billed(|| portfolio.reach_rigorous(c, dwv_reach::hash_params(&c.params())));
+        // Per-iteration tier bills for the trace CSV (surrogate mode only):
+        // the loop diffs this snapshot around every iteration it records.
         let tier_stats = || portfolio.stats().calls_by_tier;
-        let mut outcome = self.learn_loop(
-            init,
-            &probe,
-            &rigor,
-            confirm_every.max(1),
-            fresh,
-            Some(&tier_stats),
-        );
+        let tier_stats: Option<&dyn Fn() -> Vec<u64>> = (confirm_every > 0).then_some(&tier_stats);
+        let mut outcome = self.learn_loop(init, &probe, &rigor, confirm_every, fresh, tier_stats);
+        if confirm_every == 0 {
+            return outcome;
+        }
         let stats = portfolio.stats();
         if dwv_obs::enabled() {
             dwv_obs::event(
@@ -400,13 +368,16 @@ impl Algorithm1 {
         outcome
     }
 
-    /// The generic learning loop over any controller family and verifier.
+    /// The generic learning loop over any controller family and one
+    /// verifier.
     ///
     /// `verify` is the `Ψ(f, X₀, κ_θ)` oracle; `fresh` draws a random
     /// controller for (re)initialization. `verify` must be a deterministic
     /// function of the controller's parameter bits: the loop keeps the
     /// answer for the current `θ` and never asks about those bits again
-    /// (not at the next iteration, not at acceptance).
+    /// (not at the next iteration, not at acceptance). With the rigorous
+    /// backend as `verify`, this learns exactly what [`Self::learn_linear`]
+    /// and [`Self::learn_nn`] learn in [`PortfolioMode::Off`].
     #[must_use]
     pub fn learn_with_restarts<C, V>(
         &self,
@@ -418,16 +389,9 @@ impl Algorithm1 {
         C: Controller + Clone + Sync,
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
-        let verify = |c: &C| -> Result<Flowpipe, ReachError> {
-            let _s = dwv_obs::span("verify");
-            if dwv_obs::enabled() {
-                dwv_obs::counter("alg1.verifier_calls").inc();
-            }
-            verify(c)
-        };
+        let verify = |c: &C| billed(|| verify(c));
         // One oracle plays both roles: with `confirm_every == 0` every
-        // query is rigorous and no confirmation step runs, so this path is
-        // bit-identical to the pre-portfolio learner.
+        // query is rigorous and no confirmation step runs.
         self.learn_loop(init, &verify, &verify, 0, fresh, None)
     }
 
@@ -463,12 +427,12 @@ impl Algorithm1 {
         rigor: &R,
         confirm_every: usize,
         fresh: &mut dyn FnMut(&mut StdRng) -> C,
-        tier_stats: Option<&(dyn Fn() -> Vec<u64> + Sync)>,
+        tier_stats: Option<&dyn Fn() -> Vec<u64>>,
     ) -> LearnOutcome<C>
     where
-        C: Controller + Clone + Sync,
-        P: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
-        R: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
+        C: Controller + Clone,
+        P: Fn(&C) -> Result<Flowpipe, ReachError>,
+        R: Fn(&C) -> Result<Flowpipe, ReachError>,
     {
         let _train = dwv_obs::span("train");
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9E37_79B9);
@@ -778,28 +742,24 @@ impl Algorithm1 {
         calls: &mut usize,
     ) -> Vec<f64>
     where
-        C: Controller + Clone + Sync,
-        V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
+        C: Controller + Clone,
+        V: Fn(&C) -> Result<Flowpipe, ReachError>,
     {
         let p = self.config.perturbation;
         let dim = theta.len();
         let mut grad = vec![0.0; dim];
-        // All probes of one gradient estimate are independent verifier calls
-        // at known parameter points; batch them so a worker pool can fan
-        // them out. Objectives come back in probe order, and the gradient is
-        // assembled with the same floating-point operation order as a
-        // straight-line serial evaluation — the pool changes timing only.
+        // Every probe point of one estimate is fixed before any is
+        // verified; objectives come back in probe order.
         let objectives_at = |probes: &[Vec<f64>], calls: &mut usize| -> Vec<f64> {
             *calls += probes.len();
-            let eval_one = |params: &Vec<f64>| -> f64 {
-                let mut c = scratch.clone();
-                c.set_params(params);
-                self.evaluate(&verify(&c)).objective
-            };
-            match &self.pool {
-                Some(pool) if probes.len() > 1 => pool.map(probes, eval_one),
-                _ => probes.iter().map(eval_one).collect(),
-            }
+            probes
+                .iter()
+                .map(|params| {
+                    let mut c = scratch.clone();
+                    c.set_params(params);
+                    self.evaluate(&verify(&c)).objective
+                })
+                .collect()
         };
         match self.config.estimator {
             GradientEstimator::Coordinate => {

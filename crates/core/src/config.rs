@@ -73,21 +73,26 @@ impl std::fmt::Display for AbstractionKind {
     }
 }
 
-/// How Algorithm 1 spends its verifier budget (the tiered portfolio of
-/// ISSUE 7).
+/// How Algorithm 1 and the certification sweep spend their verifier budget.
 ///
-/// `Off` reproduces the single-backend learner bit for bit: every query —
-/// gradient probes, candidate evaluations, the final acceptance — goes to
-/// the rigorous backend. `Surrogate` routes the high-volume exploratory
-/// queries through the cheap portfolio tiers (interval → zonotope) and
-/// reserves the rigorous tier for decisions: a cheap-tier reach-avoid is
-/// only trusted after a rigorous confirmation, a rigorous stop-check runs
-/// every `confirm_every` iterations in case the cheap tiers are too loose
-/// to ever report convergence, and the accepted controller is always
-/// re-verified rigorously before Algorithm 1 returns.
+/// Both modes query a [`dwv_reach::PortfolioVerifier`] whose last tier is
+/// the rigorous backend; the mode decides which tiers stand in front of it
+/// (see `Algorithm1::linear_portfolio` / `Algorithm1::nn_portfolio`).
+///
+/// `Off` is the one-tier portfolio: every query — gradient probes,
+/// candidate evaluations, the final acceptance, every sweep cell — goes to
+/// the rigorous backend, and the learner is the paper's single-oracle
+/// loop. `Surrogate` routes the high-volume exploratory queries through the
+/// cheap portfolio tiers (interval → zonotope) and reserves the rigorous
+/// tier for decisions: a cheap-tier reach-avoid is only trusted after a
+/// rigorous confirmation, a rigorous stop-check runs every `confirm_every`
+/// iterations in case the cheap tiers are too loose to ever report
+/// convergence, and the accepted controller is always re-verified
+/// rigorously before Algorithm 1 returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortfolioMode {
-    /// Every verifier query uses the rigorous backend (paper baseline).
+    /// A one-tier portfolio: every verifier query uses the rigorous
+    /// backend (paper baseline).
     #[default]
     Off,
     /// Exploratory queries use cheap tiers; rigorous calls only for

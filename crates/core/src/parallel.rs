@@ -172,23 +172,72 @@ impl WorkerPool {
         F: Fn(&T) -> R + Sync,
     {
         let _s = dwv_obs::span("pool.map");
+        // Without a token the fan-out always completes.
+        self.fan_out(items, f, None).unwrap_or_default()
+    }
+
+    /// [`map`](WorkerPool::map) with cooperative cancellation.
+    ///
+    /// Returns `Some(results)` — bit-identical to the plain `map`, hence to
+    /// the serial map, at any thread count — if and only if every item
+    /// completed before `token` was cancelled. Returns `None` as soon as a
+    /// cancellation request is observed with work still outstanding; partial
+    /// results are discarded, never exposed.
+    ///
+    /// Workers poll the token at chunk-claim boundaries (serial fallback:
+    /// per item), so a cancel takes effect after at most one in-flight chunk
+    /// finishes — cancellation latency is bounded by the largest guided
+    /// chunk, roughly `n / (2·workers)` items. A token cancelled *after* the
+    /// last item completes still yields `Some`: completion wins the race.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from `f` (the first panicking worker's payload).
+    pub fn map_cancellable<T, R, F>(&self, items: &[T], f: F, token: &CancelToken) -> Option<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let _s = dwv_obs::span("pool.map_cancellable");
+        self.fan_out(items, f, Some(token))
+    }
+
+    /// The body of [`map`](WorkerPool::map) and
+    /// [`map_cancellable`](WorkerPool::map_cancellable): `None` only when
+    /// `token` is cancelled with items still outstanding.
+    fn fan_out<T, R, F>(&self, items: &[T], f: F, token: Option<&CancelToken>) -> Option<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
         let obs = dwv_obs::enabled();
         if obs {
             dwv_obs::counter("pool.batches").inc();
             dwv_obs::counter("pool.items").add(items.len() as u64);
             dwv_obs::gauge("pool.threads").set(self.threads as f64);
         }
+        let cancelled = || {
+            let stop = token.is_some_and(CancelToken::is_cancelled);
+            if stop && obs {
+                dwv_obs::counter("pool.cancelled").inc();
+            }
+            stop
+        };
         if !self.would_fan_out(items.len()) {
             // The serial fallback keeps the per-item span contract: the
             // `pool.item` histogram sees every item exactly once on every
             // host, whether or not the batch fanned out.
-            return items
-                .iter()
-                .map(|item| {
-                    let _per_item = dwv_obs::span("pool.item");
-                    f(item)
-                })
-                .collect();
+            let mut out = Vec::with_capacity(items.len());
+            for item in items {
+                if cancelled() {
+                    return None;
+                }
+                let _per_item = dwv_obs::span("pool.item");
+                out.push(f(item));
+            }
+            return Some(out);
         }
         let workers = self.threads.min(items.len());
         let n = items.len();
@@ -200,7 +249,9 @@ impl WorkerPool {
                 .map(|_| {
                     s.spawn(|| {
                         let mut out: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
+                        // Poll at the claim boundary: stop taking new chunks
+                        // once cancellation is requested.
+                        while !token.is_some_and(CancelToken::is_cancelled) {
                             // Guided claim: take a share of what remains.
                             let (start, take) = {
                                 let mut cur = next.load(Ordering::Relaxed);
@@ -249,134 +300,21 @@ impl WorkerPool {
                 }
             }
         });
-        if obs {
-            let extra = claims.load(Ordering::Relaxed).saturating_sub(workers);
-            dwv_obs::counter("pool.steal_count").add(extra as u64);
-        }
-        // Fixed reduction order: ascending chunk start, independent of
-        // completion order or thread assignment.
-        chunks.sort_unstable_by_key(|(start, _)| *start);
-        let mut merged = Vec::with_capacity(n);
-        for (_, part) in chunks {
-            merged.extend(part);
-        }
-        debug_assert_eq!(merged.len(), n);
-        merged
-    }
-
-    /// [`map`](WorkerPool::map) with cooperative cancellation.
-    ///
-    /// Returns `Some(results)` — bit-identical to the plain `map`, hence to
-    /// the serial map, at any thread count — if and only if every item
-    /// completed before `token` was cancelled. Returns `None` as soon as a
-    /// cancellation request is observed with work still outstanding; partial
-    /// results are discarded, never exposed.
-    ///
-    /// Workers poll the token at chunk-claim boundaries (serial fallback:
-    /// per item), so a cancel takes effect after at most one in-flight chunk
-    /// finishes — cancellation latency is bounded by the largest guided
-    /// chunk, roughly `n / (2·workers)` items. A token cancelled *after* the
-    /// last item completes still yields `Some`: completion wins the race.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f` (the first panicking worker's payload).
-    pub fn map_cancellable<T, R, F>(&self, items: &[T], f: F, token: &CancelToken) -> Option<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let _s = dwv_obs::span("pool.map_cancellable");
-        let obs = dwv_obs::enabled();
-        if obs {
-            dwv_obs::counter("pool.batches").inc();
-            dwv_obs::counter("pool.items").add(items.len() as u64);
-            dwv_obs::gauge("pool.threads").set(self.threads as f64);
-        }
-        if !self.would_fan_out(items.len()) {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                if token.is_cancelled() {
-                    if obs {
-                        dwv_obs::counter("pool.cancelled").inc();
-                    }
-                    return None;
-                }
-                let _per_item = dwv_obs::span("pool.item");
-                out.push(f(item));
-            }
-            return Some(out);
-        }
-        let workers = self.threads.min(items.len());
-        let n = items.len();
-        let next = AtomicUsize::new(0);
-        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            // Poll at the claim boundary: stop taking new
-                            // chunks once cancellation is requested.
-                            if token.is_cancelled() {
-                                break;
-                            }
-                            let (start, take) = {
-                                let mut cur = next.load(Ordering::Relaxed);
-                                loop {
-                                    if cur >= n {
-                                        break (n, 0);
-                                    }
-                                    let take = ((n - cur) / (2 * workers)).max(1);
-                                    match next.compare_exchange_weak(
-                                        cur,
-                                        cur + take,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    ) {
-                                        Ok(_) => break (cur, take),
-                                        Err(seen) => cur = seen,
-                                    }
-                                }
-                            };
-                            if take == 0 {
-                                break;
-                            }
-                            let timed = dwv_obs::span("pool.chunk");
-                            let chunk = &items[start..start + take]; // dwv-lint: allow(panic-freedom#index) -- the CAS claim bounds start + take ≤ items.len()
-                            let part: Vec<R> = chunk
-                                .iter()
-                                .map(|item| {
-                                    let per_item = dwv_obs::span("pool.item");
-                                    let r = f(item);
-                                    drop(per_item);
-                                    r
-                                })
-                                .collect();
-                            drop(timed);
-                            out.push((start, part));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => chunks.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
         let done: usize = chunks.iter().map(|(_, part)| part.len()).sum();
         if done < n {
+            // Only a cancelled token leaves items unclaimed.
             if obs {
                 dwv_obs::counter("pool.cancelled").inc();
             }
             return None;
         }
-        // Same fixed reduction order as `map`: ascending chunk start.
+        if obs && token.is_none() {
+            // `pool.steal_count` is `map`'s counter.
+            let extra = claims.load(Ordering::Relaxed).saturating_sub(workers);
+            dwv_obs::counter("pool.steal_count").add(extra as u64);
+        }
+        // Fixed reduction order: ascending chunk start, independent of
+        // completion order or thread assignment.
         chunks.sort_unstable_by_key(|(start, _)| *start);
         let mut merged = Vec::with_capacity(n);
         for (_, part) in chunks {

@@ -6,15 +6,12 @@
 //! [`VerificationReport`] — with one function call each.
 
 use crate::algorithm1::{Algorithm1, LearnError, LearnOutcome};
-use crate::config::{AbstractionKind, LearnConfig, PortfolioMode};
+use crate::config::{LearnConfig, PortfolioMode};
 use crate::report::{assess, ProvenanceSummary, VerificationReport};
 use dwv_dynamics::{Controller, LinearController, NnController, ReachAvoidProblem};
 use dwv_interval::IntervalBox;
 use dwv_metrics::GeometricMetric;
-use dwv_reach::{
-    BernsteinAbstraction, Flowpipe, LinearReach, PortfolioVerifier, ReachError, TaylorAbstraction,
-    TaylorReach,
-};
+use dwv_reach::{Flowpipe, PortfolioVerifier};
 
 /// The outcome of a full design-while-verify pipeline run.
 #[derive(Debug, Clone)]
@@ -24,9 +21,9 @@ pub struct PipelineOutcome<C> {
     /// The final assessment (verdict, certified `X_I`, rates,
     /// counterexample).
     pub report: VerificationReport,
-    /// Per-tier call accounting of the certification sweep when it ran on
-    /// the tiered portfolio ([`PortfolioMode::Surrogate`]); `None` in the
-    /// single-backend baseline. (Algorithm 1's own portfolio bill is in
+    /// Per-tier call accounting of the certification sweep when its
+    /// portfolio had cheap tiers ([`PortfolioMode::Surrogate`]); `None` in
+    /// [`PortfolioMode::Off`]. (Algorithm 1's own portfolio bill is in
     /// `learning.portfolio`.)
     pub sweep_portfolio: Option<dwv_reach::PortfolioStats>,
 }
@@ -66,51 +63,29 @@ pub fn design_while_verify_linear(
     config: LearnConfig,
 ) -> Result<PipelineOutcome<LinearController>, LearnError> {
     let _s = dwv_obs::span("pipeline");
-    let mode = config.portfolio;
-    let alg = Algorithm1::new(problem.clone(), config);
+    let alg = Algorithm1::new(problem, config);
     let learning = alg.learn_linear()?;
-    let controller = learning.controller.clone();
-    match mode {
-        PortfolioMode::Off => {
-            let (a, b, c) = problem
-                .dynamics
-                .linear_parts()
-                .expect("learn_linear succeeded, so the dynamics are affine"); // dwv-lint: allow(panic-freedom) -- learn_linear succeeded, so linear_parts is Some
-            let oracle_controller = controller.clone();
-            let delta = problem.delta;
-            let steps = problem.horizon_steps;
-            let report = assess(&problem, &controller, move |cell: &IntervalBox| {
-                LinearReach::new(&a, &b, &c, cell.clone(), delta, steps).reach(&oracle_controller)
-            });
-            Ok(PipelineOutcome {
-                learning,
-                report,
-                sweep_portfolio: None,
-            })
-        }
-        PortfolioMode::Surrogate { .. } => {
-            let portfolio = alg.linear_portfolio()?;
-            let report = assess_with_portfolio(&problem, &controller, &portfolio);
-            Ok(PipelineOutcome {
-                learning,
-                report,
-                sweep_portfolio: Some(portfolio.stats()),
-            })
-        }
-    }
+    Ok(certify(&alg, learning, &alg.linear_portfolio()?))
 }
 
-/// Runs the certification sweep on the tiered portfolio: each cell query is
+/// Certifies a learned controller on the learner's portfolio. Each query
+/// of the sweep (the whole-`X₀` verification plus each Algorithm-2 cell) is
 /// *decisive* — a cheap tier's enclosure is kept only when it certifies
 /// reach-avoid with unsafe clearance beyond the configured slack (sound:
 /// any box enclosing the true reachable set contains its tightest bounding
-/// box, so a cheap acceptance implies the rigorous one); every other cell
+/// box, so a cheap acceptance implies the rigorous one); every other query
 /// escalates and is answered by the rigorous authority.
-fn assess_with_portfolio<C: Controller + Sync>(
-    problem: &ReachAvoidProblem,
-    controller: &C,
+///
+/// The sweep's portfolio bill and the per-query provenance are reported
+/// only when the portfolio has cheap tiers ([`PortfolioMode::Surrogate`]);
+/// in [`PortfolioMode::Off`] the rigorous tier answers every query.
+fn certify<C: Controller>(
+    alg: &Algorithm1,
+    learning: LearnOutcome<C>,
     portfolio: &PortfolioVerifier<C>,
-) -> VerificationReport {
+) -> PipelineOutcome<C> {
+    let problem = alg.problem();
+    let controller = &learning.controller;
     let h = dwv_reach::hash_params(&controller.params());
     let metric = GeometricMetric::for_problem(problem);
     let margin = move |fp: &Flowpipe| {
@@ -122,24 +97,30 @@ fn assess_with_portfolio<C: Controller + Sync>(
             f64::NEG_INFINITY
         }
     };
-    // Record which tier decided every query (the whole-`X₀` verification
-    // plus each Algorithm-2 cell) so the report can attribute its verdicts.
-    // `assess` calls the oracle single-threaded, so a `RefCell` suffices.
+    // Which tier decided every query. `assess` calls the oracle
+    // single-threaded, so a `RefCell` suffices.
     let queries = std::cell::RefCell::new(Vec::new());
     let mut report = assess(problem, controller, |cell: &IntervalBox| {
         let (result, prov) = portfolio.reach_decisive_from_prov(cell, controller, h, &margin);
         queries.borrow_mut().push(prov);
         result
     });
-    report.provenance = Some(ProvenanceSummary::from_queries(
-        portfolio
-            .tier_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect(),
-        queries.into_inner(),
-    ));
-    report
+    let tiered = matches!(alg.config().portfolio, PortfolioMode::Surrogate { .. });
+    if tiered {
+        report.provenance = Some(ProvenanceSummary::from_queries(
+            portfolio
+                .tier_names()
+                .into_iter()
+                .map(str::to_string)
+                .collect(),
+            queries.into_inner(),
+        ));
+    }
+    PipelineOutcome {
+        learning,
+        report,
+        sweep_portfolio: tiered.then(|| portfolio.stats()),
+    }
 }
 
 /// Learns and certifies a neural-network controller with the Taylor-model
@@ -150,43 +131,9 @@ pub fn design_while_verify_nn(
     config: LearnConfig,
 ) -> PipelineOutcome<NnController> {
     let _s = dwv_obs::span("pipeline");
-    let abstraction = config.abstraction;
-    let verifier_cfg = config.verifier.clone();
-    let mode = config.portfolio;
-    let alg = Algorithm1::new(problem.clone(), config);
+    let alg = Algorithm1::new(problem, config);
     let learning = alg.learn_nn();
-    let controller = learning.controller.clone();
-    if let PortfolioMode::Surrogate { .. } = mode {
-        let portfolio = alg.nn_portfolio();
-        let report = assess_with_portfolio(&problem, &controller, &portfolio);
-        return PipelineOutcome {
-            learning,
-            report,
-            sweep_portfolio: Some(portfolio.stats()),
-        };
-    }
-    // Build the verifier once and re-verify each cell via `reach_from`,
-    // instead of cloning a freshly-constructed verifier per cell.
-    type Oracle = Box<dyn Fn(&IntervalBox) -> Result<Flowpipe, ReachError>>;
-    let oracle: Oracle = match abstraction {
-        AbstractionKind::Polar { order } => {
-            let v = TaylorReach::new(&problem, TaylorAbstraction::with_order(order), verifier_cfg);
-            Box::new(move |cell: &IntervalBox| v.reach_from(cell, &controller))
-        }
-        AbstractionKind::Bernstein { degree } => {
-            let v = TaylorReach::new(
-                &problem,
-                BernsteinAbstraction::with_degree(degree),
-                verifier_cfg,
-            );
-            Box::new(move |cell: &IntervalBox| v.reach_from(cell, &controller))
-        }
-    };
-    PipelineOutcome {
-        report: assess(&problem, &learning.controller, oracle),
-        learning,
-        sweep_portfolio: None,
-    }
+    certify(&alg, learning, &alg.nn_portfolio())
 }
 
 #[cfg(test)]

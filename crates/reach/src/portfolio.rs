@@ -8,23 +8,25 @@
 //! produced the flowpipe, and tiers produce different enclosures for the
 //! same key.
 //!
-//! Three query modes, by decreasing cheapness:
+//! Three queries, by decreasing cheapness:
 //!
-//! - **Surrogate** ([`PortfolioVerifier::reach_surrogate`]): the learning
-//!   loop's probe oracle. Returns the first tier that encloses at all,
-//!   escalating only when a tier *fails* (diverged / unsupported). All
-//!   Algorithm 1 gradient probes run here, so consecutive probes are
-//!   compared on the same tier's geometry.
-//! - **Decisive** ([`PortfolioVerifier::reach_decisive_from`]): the
-//!   certification oracle (stop checks, Algorithm 2 cells). A cheap tier's
-//!   answer is kept only when the caller-computed verdict margin clears the
-//!   configured slack; near-boundary answers escalate to a tighter tier.
-//!   Because every tier is sound, a cheap "safe with room to spare" is
-//!   final; a cheap "violates" is *not* evidence of unsafety and always
-//!   escalates.
-//! - **Rigorous** ([`PortfolioVerifier::reach_rigorous_from`]): the last
-//!   tier only. Acceptance of a learned controller always goes through
-//!   here, so the portfolio never weakens the soundness contract.
+//! - **Probe** ([`PortfolioVerifier::reach_probe`]): the learning loop's
+//!   exploratory oracle. Walks the cheap tiers only, keeping the first
+//!   answer whose verdict margin clears the slack; it bills the rigorous
+//!   tier only when the portfolio has no cheap tiers.
+//! - **Decisive** ([`PortfolioVerifier::reach_decisive_from_prov`]): the
+//!   certification oracle (the whole-`X₀` check and Algorithm 2 cells). A
+//!   cheap tier's answer is kept only when the caller-computed verdict
+//!   margin clears the configured slack; near-boundary answers escalate to
+//!   a tighter tier. Because every tier is sound, a cheap "safe with room
+//!   to spare" is final; a cheap "violates" is *not* evidence of unsafety
+//!   and always escalates. The answer comes with its [`QueryProvenance`].
+//! - **Rigorous** ([`PortfolioVerifier::reach_rigorous`]): the last tier
+//!   only. Acceptance of a learned controller always goes through here, so
+//!   the portfolio never weakens the soundness contract.
+//!
+//! A portfolio built without cheap tiers is the single-backend verifier:
+//! every query is the rigorous tier's, through its cache.
 //!
 //! Per-tier call counts (actual backend executions — cache hits are not
 //! calls), escalations, and cheap decisions are tracked both in local
@@ -54,9 +56,9 @@ pub struct PortfolioStats {
 /// Where one portfolio answer came from: the verdict-provenance record
 /// attached to every traced query.
 ///
-/// Produced by [`PortfolioVerifier::reach_decisive_from_prov`] (and the
-/// other `_prov` entry points) so certification artifacts — the pipeline's
-/// per-cell verdicts, `VerificationReport` — can say *which* tier decided,
+/// Produced by [`PortfolioVerifier::reach_decisive_from_prov`] so
+/// certification artifacts — the pipeline's per-cell verdicts,
+/// `VerificationReport` — can say *which* tier decided,
 /// how many escalations the query cost and whether the deciding tier's
 /// answer was replayed from its cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +93,7 @@ pub struct QueryProvenance {
 /// let portfolio = PortfolioVerifier::new(Box::new(LinearReach::for_problem(&problem)?), 0.05)
 ///     .with_tier(Box::new(IntervalReach::for_problem(&problem)));
 /// let k = LinearController::new(2, 1, vec![0.5867, -2.0]);
-/// let fp = portfolio.reach_surrogate(&k, hash_params(&[0.5867, -2.0]))?;
+/// let fp = portfolio.reach_probe(&k, hash_params(&[0.5867, -2.0]), &|_| 1.0)?;
 /// assert_eq!(fp.len(), problem.horizon_steps + 1);
 /// assert_eq!(portfolio.stats().calls_by_tier, vec![1, 0]);
 /// # Ok(())
@@ -153,18 +155,6 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         self.iter_tiers().map(Verifier::name).collect()
     }
 
-    /// The rigorous authority tier.
-    #[must_use]
-    pub fn rigorous(&self) -> &dyn Verifier<C> {
-        &*self.rigorous
-    }
-
-    /// The decisive-query margin threshold.
-    #[must_use]
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
-
     /// A snapshot of the per-tier call counters.
     #[must_use]
     pub fn stats(&self) -> PortfolioStats {
@@ -179,19 +169,6 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         }
     }
 
-    /// Cache statistics per tier, cheapest first.
-    #[must_use]
-    pub fn cache_stats(&self) -> Vec<crate::cache::ReachCacheStats> {
-        self.caches.iter().map(ReachCache::stats).collect()
-    }
-
-    /// Flushes one controller's entries from every tier cache.
-    pub fn invalidate_controller(&self, controller_hash: u64) {
-        for cache in &self.caches {
-            cache.invalidate_controller(controller_hash);
-        }
-    }
-
     fn iter_tiers(&self) -> impl Iterator<Item = &dyn Verifier<C>> {
         self.cheap
             .iter()
@@ -199,24 +176,10 @@ impl<C: ?Sized> PortfolioVerifier<C> {
             .chain(std::iter::once(&*self.rigorous))
     }
 
-    /// Runs tier `i` through its cache; the execution counter only moves on
-    /// an actual backend run (cache hits are free and say nothing about the
-    /// verifier bill).
+    /// Runs tier `i` through its cache, reporting whether the answer was a
+    /// cache hit. The execution counter only moves on an actual backend run
+    /// (cache hits are free and say nothing about the verifier bill).
     fn run_tier(
-        &self,
-        i: usize,
-        tier: &dyn Verifier<C>,
-        x0: Option<&IntervalBox>,
-        controller: &C,
-        controller_hash: u64,
-    ) -> Result<Flowpipe, ReachError> {
-        self.run_tier_traced(i, tier, x0, controller, controller_hash)
-            .0
-    }
-
-    /// As [`Self::run_tier`], but also reports whether the answer was a
-    /// cache hit (the backend closure never ran).
-    fn run_tier_traced(
         &self,
         i: usize,
         tier: &dyn Verifier<C>,
@@ -264,34 +227,6 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         }
     }
 
-    /// Surrogate query from the tiers' configured initial set: the first
-    /// tier that encloses wins; a tier is skipped only when it errors.
-    ///
-    /// # Errors
-    ///
-    /// The rigorous tier's error when every tier fails to enclose.
-    pub fn reach_surrogate(
-        &self,
-        controller: &C,
-        controller_hash: u64,
-    ) -> Result<Flowpipe, ReachError> {
-        self.walk(None, controller, controller_hash, None).0
-    }
-
-    /// Surrogate query from an explicit initial cell.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PortfolioVerifier::reach_surrogate`].
-    pub fn reach_surrogate_from(
-        &self,
-        x0: &IntervalBox,
-        controller: &C,
-        controller_hash: u64,
-    ) -> Result<Flowpipe, ReachError> {
-        self.walk(Some(x0), controller, controller_hash, None).0
-    }
-
     /// Probe query: the cheapest *trustworthy* answer, without ever
     /// billing the rigorous tier.
     ///
@@ -326,7 +261,10 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         }
         let mut fallback: Option<Result<Flowpipe, ReachError>> = None;
         for (i, tier) in self.cheap.iter().enumerate() {
-            match self.run_tier(i, &**tier, None, controller, controller_hash) {
+            match self
+                .run_tier(i, &**tier, None, controller, controller_hash)
+                .0
+            {
                 Ok(fp) => {
                     if margin(&fp) >= self.slack {
                         self.note_decided_cheap();
@@ -350,29 +288,15 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         })
     }
 
-    /// Decisive query: a cheap tier's enclosure is accepted only when
-    /// `margin` (the caller's signed verdict margin — positive means
-    /// "satisfies reach-avoid with this much room") clears the slack;
-    /// otherwise the query escalates, ending at the rigorous tier whose
-    /// answer is final either way.
+    /// Decisive query from an explicit initial cell: a cheap tier's
+    /// enclosure is accepted only when `margin` (the caller's signed verdict
+    /// margin — positive means "satisfies reach-avoid with this much room")
+    /// clears the slack; otherwise the query escalates, ending at the
+    /// rigorous tier whose answer is final either way. `margin` is never
+    /// evaluated on the rigorous tier's answer.
     ///
-    /// # Errors
-    ///
-    /// The rigorous tier's error when every tier fails to enclose.
-    pub fn reach_decisive_from(
-        &self,
-        x0: &IntervalBox,
-        controller: &C,
-        controller_hash: u64,
-        margin: &dyn Fn(&Flowpipe) -> f64,
-    ) -> Result<Flowpipe, ReachError> {
-        self.walk(Some(x0), controller, controller_hash, Some(margin))
-            .0
-    }
-
-    /// As [`Self::reach_decisive_from`], additionally returning the
-    /// [`QueryProvenance`] of the answer (also present on `Err`: it then
-    /// names the last tier that was consulted).
+    /// Returns the answer with its [`QueryProvenance`] (also present on
+    /// `Err`: it then names the last tier that was consulted).
     ///
     /// # Errors
     ///
@@ -384,7 +308,35 @@ impl<C: ?Sized> PortfolioVerifier<C> {
         controller_hash: u64,
         margin: &dyn Fn(&Flowpipe) -> f64,
     ) -> (Result<Flowpipe, ReachError>, QueryProvenance) {
-        self.walk(Some(x0), controller, controller_hash, Some(margin))
+        let prov =
+            |i: usize, tier: &dyn Verifier<C>, escalations: u32, cache_hit: bool| QueryProvenance {
+                tier_index: i,
+                tier_name: tier.name(),
+                cost_class: tier.cost_class(),
+                escalations,
+                cache_hit,
+            };
+        let mut escalations = 0u32;
+        for (i, tier) in self.cheap.iter().enumerate() {
+            let (result, cache_hit) =
+                self.run_tier(i, &**tier, Some(x0), controller, controller_hash);
+            // Soundness allows trusting a cheap "safe", never a cheap
+            // "violates"; a cheap tier that fails to enclose escalates too.
+            match result {
+                Ok(fp) if margin(&fp) >= self.slack => {
+                    self.note_decided_cheap();
+                    return (Ok(fp), prov(i, &**tier, escalations, cache_hit));
+                }
+                _ => {
+                    self.note_escalation();
+                    escalations += 1;
+                }
+            }
+        }
+        let i = self.cheap.len();
+        let (result, cache_hit) =
+            self.run_tier(i, &*self.rigorous, Some(x0), controller, controller_hash);
+        (result, prov(i, &*self.rigorous, escalations, cache_hit))
     }
 
     /// Rigorous-tier query from the configured initial set (through the
@@ -400,108 +352,7 @@ impl<C: ?Sized> PortfolioVerifier<C> {
     ) -> Result<Flowpipe, ReachError> {
         let i = self.cheap.len();
         self.run_tier(i, &*self.rigorous, None, controller, controller_hash)
-    }
-
-    /// Rigorous-tier query from an explicit initial cell.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the rigorous backend returns.
-    pub fn reach_rigorous_from(
-        &self,
-        x0: &IntervalBox,
-        controller: &C,
-        controller_hash: u64,
-    ) -> Result<Flowpipe, ReachError> {
-        let i = self.cheap.len();
-        self.run_tier(i, &*self.rigorous, Some(x0), controller, controller_hash)
-    }
-
-    fn walk(
-        &self,
-        x0: Option<&IntervalBox>,
-        controller: &C,
-        controller_hash: u64,
-        margin: Option<&dyn Fn(&Flowpipe) -> f64>,
-    ) -> (Result<Flowpipe, ReachError>, QueryProvenance) {
-        let n = self.n_tiers();
-        let mut last: Option<ReachError> = None;
-        let mut escalations = 0u32;
-        let mut last_prov: Option<QueryProvenance> = None;
-        for (i, tier) in self.iter_tiers().enumerate() {
-            let rigorous_tier = i + 1 == n;
-            let (result, cache_hit) =
-                self.run_tier_traced(i, tier, x0, controller, controller_hash);
-            let prov = QueryProvenance {
-                tier_index: i,
-                tier_name: tier.name(),
-                cost_class: tier.cost_class(),
-                escalations,
-                cache_hit,
-            };
-            match result {
-                Ok(fp) => {
-                    if rigorous_tier {
-                        return (Ok(fp), prov);
-                    }
-                    // A cheap enclosure decides a surrogate query outright;
-                    // a decisive query also needs the verdict margin clear
-                    // of the slack (soundness allows trusting a cheap
-                    // "safe", never a cheap "violates").
-                    let decided = match margin {
-                        None => true,
-                        Some(m) => m(&fp) >= self.slack,
-                    };
-                    if decided {
-                        self.note_decided_cheap();
-                        return (Ok(fp), prov);
-                    }
-                    self.note_escalation();
-                    escalations += 1;
-                }
-                Err(e) => {
-                    last = Some(e);
-                    if !rigorous_tier {
-                        self.note_escalation();
-                        escalations += 1;
-                    }
-                }
-            }
-            last_prov = Some(prov);
-        }
-        let err = last.unwrap_or_else(|| {
-            ReachError::Unsupported("portfolio: no tier produced a result".into())
-        });
-        let prov = last_prov.unwrap_or(QueryProvenance {
-            tier_index: self.cheap.len(),
-            tier_name: self.rigorous.name(),
-            cost_class: self.rigorous.cost_class(),
-            escalations,
-            cache_hit: false,
-        });
-        (Err(err), prov)
-    }
-}
-
-impl<C: ?Sized> Verifier<C> for PortfolioVerifier<C> {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    /// The worst-case cost of a query: the rigorous authority's class.
-    fn cost_class(&self) -> CostClass {
-        self.rigorous.cost_class()
-    }
-
-    /// Surrogate semantics (cheapest sound enclosure), uncached key 0 — the
-    /// trait entry points are for heterogeneous composition, not the hot
-    /// learning loop, which passes real controller hashes.
-    fn reach(&self, controller: &C) -> Result<Flowpipe, ReachError> {
-        self.walk(None, controller, 0, None).0
-    }
-
-    fn reach_from(&self, x0: &IntervalBox, controller: &C) -> Result<Flowpipe, ReachError> {
-        self.walk(Some(x0), controller, 0, None).0
+            .0
     }
 }
 
@@ -545,30 +396,19 @@ mod tests {
         let p = acc_portfolio(0.05);
         assert_eq!(p.tier_names(), vec!["interval", "linear-exact"]);
         assert_eq!(p.n_tiers(), 2);
-        assert_eq!(p.rigorous().name(), "linear-exact");
     }
 
     #[test]
-    fn surrogate_decides_on_the_cheap_tier() {
-        let p = acc_portfolio(0.05);
-        let (k, h) = good_k();
-        let fp = p.reach_surrogate(&k, h).expect("encloses");
-        assert!(fp.len() > 1);
-        let s = p.stats();
-        assert_eq!(s.calls_by_tier, vec![1, 0]);
-        assert_eq!(s.decided_cheap, 1);
-        assert_eq!(s.escalations, 0);
-    }
-
-    #[test]
-    fn surrogate_escalates_on_cheap_tier_divergence() {
+    fn decisive_escalates_on_cheap_tier_divergence() {
         let p = acc_portfolio(0.05);
         // Strong positive feedback: the interval tier blows up, the exact
         // linear recursion still encloses (finitely).
         let gains = vec![80.0, 80.0];
         let k = LinearController::new(2, 1, gains.clone());
-        let r = p.reach_surrogate(&k, hash_params(&gains));
+        let x0 = acc::reach_avoid_problem().x0;
+        let (r, prov) = p.reach_decisive_from_prov(&x0, &k, hash_params(&gains), &|_| 2.0);
         assert!(r.is_ok(), "rigorous tier should still answer: {r:?}");
+        assert_eq!(prov.tier_index, 1);
         let s = p.stats();
         assert_eq!(s.calls_by_tier, vec![1, 1]);
         assert_eq!(s.escalations, 1);
@@ -580,7 +420,7 @@ mod tests {
         let p = acc_portfolio(0.5);
         let (k, h) = good_k();
         let x0 = acc::reach_avoid_problem().x0;
-        let r = p.reach_decisive_from(&x0, &k, h, &|_| 0.1);
+        let (r, _) = p.reach_decisive_from_prov(&x0, &k, h, &|_| 0.1);
         assert!(r.is_ok());
         let s = p.stats();
         assert_eq!(s.calls_by_tier, vec![1, 1], "thin margin must escalate");
@@ -593,7 +433,7 @@ mod tests {
         let p = acc_portfolio(0.5);
         let (k, h) = good_k();
         let x0 = acc::reach_avoid_problem().x0;
-        let r = p.reach_decisive_from(&x0, &k, h, &|_| 2.0);
+        let (r, _) = p.reach_decisive_from_prov(&x0, &k, h, &|_| 2.0);
         assert!(r.is_ok());
         assert_eq!(p.stats().calls_by_tier, vec![1, 0]);
         assert_eq!(p.stats().decided_cheap, 1);
@@ -646,44 +486,70 @@ mod tests {
     }
 
     #[test]
+    fn single_tier_portfolio_is_the_rigorous_backend() {
+        let problem = acc::reach_avoid_problem();
+        let backend = LinearReach::for_problem(&problem).expect("affine");
+        let p: PortfolioVerifier<LinearController> =
+            PortfolioVerifier::new(Box::new(backend.clone()), 0.05);
+        let (k, h) = good_k();
+        let never = |_: &Flowpipe| -> f64 { panic!("one tier: the margin is never consulted") };
+        let (r, prov) = p.reach_decisive_from_prov(&problem.x0, &k, h, &never);
+        assert_eq!(r.ok(), backend.reach_from(&problem.x0, &k).ok());
+        assert_eq!((prov.tier_index, prov.escalations), (0, 0));
+        assert!(!prov.cache_hit);
+        // Asking about the same cell again is a hit, not a second call.
+        let (_, again) = p.reach_decisive_from_prov(&problem.x0, &k, h, &never);
+        assert!(again.cache_hit);
+        assert_eq!(p.reach_rigorous(&k, h).ok(), backend.reach(&k).ok());
+        let s = p.stats();
+        assert_eq!(s.calls_by_tier, vec![2]);
+        assert_eq!((s.escalations, s.decided_cheap), (0, 0));
+    }
+
+    #[test]
     fn per_tier_caches_do_not_alias_and_hits_are_not_calls() {
         let p = acc_portfolio(0.05);
         let (k, h) = good_k();
-        let a = p.reach_surrogate(&k, h).expect("encloses");
-        let b = p.reach_surrogate(&k, h).expect("encloses");
-        assert_eq!(a, b, "cached replay must be bit-identical");
-        let s = p.stats();
-        assert_eq!(s.calls_by_tier, vec![1, 0], "second query was a hit");
-        // The rigorous path computes its own enclosure even for the same
-        // key — per-tier caches must not hand back the cheap tier's pipe.
-        let rig = p.reach_rigorous(&k, h).expect("encloses");
-        assert_ne!(a, rig, "tiers produce different enclosures");
+        let x0 = acc::reach_avoid_problem().x0;
+        let (a, first) = p.reach_decisive_from_prov(&x0, &k, h, &|_| 2.0);
+        let (b, second) = p.reach_decisive_from_prov(&x0, &k, h, &|_| 2.0);
+        let a = a.expect("encloses");
+        assert_eq!(Some(&a), b.as_ref().ok(), "cached replay is bit-identical");
+        assert!(!first.cache_hit && second.cache_hit);
+        assert_eq!(
+            p.stats().calls_by_tier,
+            vec![1, 0],
+            "second query was a hit"
+        );
+        // The same key escalated: the cheap tier answers from its cache, and
+        // the rigorous tier computes its own enclosure — per-tier caches must
+        // not hand back the cheap tier's pipe.
+        let (rig, prov) = p.reach_decisive_from_prov(&x0, &k, h, &|_| f64::NEG_INFINITY);
+        assert_eq!((prov.tier_index, prov.cache_hit), (1, false));
+        assert_ne!(
+            Some(&a),
+            rig.as_ref().ok(),
+            "tiers produce different enclosures"
+        );
         assert_eq!(p.stats().calls_by_tier, vec![1, 1]);
-        let cs = p.cache_stats();
-        assert_eq!(cs.len(), 2);
-        assert_eq!(cs[0].hits, 1);
-        assert_eq!(cs[1].hits, 0);
+        let (_, prov) = p.reach_decisive_from_prov(&x0, &k, h, &|_| f64::NEG_INFINITY);
+        assert!(prov.cache_hit);
+        // Probe and rigorous queries key on the configured initial set.
+        let _ = p.reach_probe(&k, h, &|_| 2.0);
+        let _ = p.reach_probe(&k, h, &|_| 2.0);
+        let _ = p.reach_rigorous(&k, h);
+        let _ = p.reach_rigorous(&k, h);
+        assert_eq!(p.stats().calls_by_tier, vec![2, 2]);
     }
 
     #[test]
     fn rigorous_entry_point_skips_cheap_tiers() {
         let p = acc_portfolio(0.05);
         let (k, h) = good_k();
-        let x0 = acc::reach_avoid_problem().x0;
-        let fp = p.reach_rigorous_from(&x0, &k, h).expect("encloses");
+        let fp = p.reach_rigorous(&k, h).expect("encloses");
         assert!(fp.len() > 1);
         assert_eq!(p.stats().calls_by_tier, vec![0, 1]);
         assert_eq!(p.stats().decided_cheap, 0);
-    }
-
-    #[test]
-    fn invalidate_controller_flushes_every_tier() {
-        let p = acc_portfolio(0.05);
-        let (k, h) = good_k();
-        let _ = p.reach_surrogate(&k, h);
-        let _ = p.reach_rigorous(&k, h);
-        p.invalidate_controller(h);
-        assert!(p.cache_stats().iter().all(|s| s.entries == 0));
     }
 
     #[test]
@@ -717,15 +583,5 @@ mod tests {
         assert_eq!(prov.cost_class, CostClass::Exact);
         assert_eq!(prov.escalations, 1);
         assert!(!prov.cache_hit);
-    }
-
-    #[test]
-    fn trait_object_composition_works() {
-        let p = acc_portfolio(0.05);
-        let (k, _) = good_k();
-        let v: &dyn Verifier<LinearController> = &p;
-        assert_eq!(v.name(), "portfolio");
-        assert_eq!(v.cost_class(), CostClass::Exact);
-        assert!(v.reach(&k).is_ok());
     }
 }

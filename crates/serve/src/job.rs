@@ -21,7 +21,7 @@ use dwv_metrics::GeometricMetric;
 use dwv_nn::{Activation, Network};
 use dwv_reach::{
     hash_cell, hash_params_tenant, DependencyTracking, Flowpipe, IntervalReach, LinearReach,
-    PortfolioVerifier, ReachCache, TaylorAbstraction, TaylorReach, TaylorReachConfig,
+    PortfolioVerifier, ReachCache, TaylorAbstraction, TaylorReach, TaylorReachConfig, Verifier,
     ZonotopeReach,
 };
 use std::fmt;
@@ -302,18 +302,12 @@ pub fn run_job(
         JobKind::AssessLinear { gains } => {
             let controller =
                 LinearController::new(problem.n_state(), problem.n_input(), gains.clone());
-            let (a, b, c) = problem
-                .dynamics
-                .linear_parts()
-                .ok_or_else(|| JobError::Invalid("affine dynamics required".into()))?;
+            // One discretisation of the dynamics answers every cell.
+            let reach = LinearReach::for_problem(&problem)
+                .map_err(|_| JobError::Invalid("affine dynamics required".into()))?;
             let h = spec_qualified_hash(tenant, u64::from(spec.problem_tag()), gains);
-            let (delta, steps) = (problem.delta, problem.horizon_steps);
-            let oracle_controller = controller.clone();
-            let report = assess(&problem, &controller, move |cell: &IntervalBox| {
-                cache.get_or_compute(h, hash_cell(cell), || {
-                    LinearReach::new(&a, &b, &c, cell.clone(), delta, steps)
-                        .reach(&oracle_controller)
-                })
+            let report = assess(&problem, &controller, |cell: &IntervalBox| {
+                cache.get_or_compute(h, hash_cell(cell), || reach.reach_from(cell, &controller))
             });
             if cancel.is_cancelled() {
                 return Err(JobError::Cancelled);
@@ -405,7 +399,9 @@ fn run_verify_linear(
     // Whole-X₀ flowpipe first: it carries the verdict and the streamed
     // segments. Memoized in the tenant shard.
     let attempt = cache.get_or_compute(h, hash_cell(&problem.x0), || {
-        portfolio.reach_decisive_from(&problem.x0, &controller, h, &margin)
+        portfolio
+            .reach_decisive_from_prov(&problem.x0, &controller, h, &margin)
+            .0
     });
     let verdict = judge(problem, &controller, &attempt, samples as usize, JUDGE_SEED);
     if cancel.is_cancelled() {
@@ -420,7 +416,9 @@ fn run_verify_linear(
             |cell| {
                 cache
                     .get_or_compute(h, hash_cell(cell), || {
-                        portfolio.reach_decisive_from(cell, &controller, h, &margin)
+                        portfolio
+                            .reach_decisive_from_prov(cell, &controller, h, &margin)
+                            .0
                     })
                     .is_ok()
             },
@@ -437,7 +435,8 @@ fn run_verify_linear(
 }
 
 /// The serve-side linear portfolio: identical tier stack to
-/// [`dwv_core::Algorithm1::linear_portfolio`] (interval → zonotope →
+/// [`dwv_core::Algorithm1::linear_portfolio`] under
+/// [`dwv_core::PortfolioMode::Surrogate`] (interval → zonotope →
 /// linear-exact authority) at the default slack.
 #[must_use]
 pub fn linear_portfolio(

@@ -56,6 +56,9 @@ run cargo test -q --offline
 
 if [[ "${1:-}" == "--all" ]]; then
   run cargo test -q --workspace --offline
+  # The benchmark is a package of its own: it must still compile against
+  # the workspace's public API, without rewriting its lockfile.
+  run cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
   # Deep falsification sweep + regression corpus replay: a larger budget at
   # bigger case sizes, then every committed finding/regression seed.
   run cargo run --release --offline -p dwv-check -- --seed 0xD3C0DE --budget-cases 8000 --max-size 12 --threads 4
@@ -97,6 +100,12 @@ if [[ "${1:-}" == "--all" ]]; then
   # learned controllers, metrics, verdicts and flowpipes bit-identical to
   # golden values recorded when every repeat still ran the verifier.
   run cargo test -q --release --offline -p dwv-core --test algorithm1_reuse
+  # Pipeline golden gate: every design porcelain run learns and certifies
+  # through a portfolio (one tier in PortfolioMode::Off). Report CSVs, X_I
+  # cells, traces, portfolio bills and provenance stay bit-identical to
+  # golden values recorded when Off called hand-built backends, and a served
+  # AssessLinear job equals a per-cell re-discretising oracle.
+  run cargo test -q --release --offline -p dwv-core --test pipeline_golden
   run cargo test -q --release --offline -p dwv-core --lib -- verdict counterexample
   # ReachNN abstraction gate: the dense Bernstein fit, index-walked sample
   # grids and buffered forward passes against the term-list construction
